@@ -24,8 +24,8 @@ The backend is selected by ``REPRO_ARTIFACT_BACKEND`` (default
 ``directory``); ``http`` additionally needs ``REPRO_ARTIFACT_URL`` pointing
 at the broker (``python -m repro worker`` defaults both to its ``--broker``
 URL).  Validation is strict with did-you-mean hints, mirroring
-``REPRO_VEC_BATCH``: a typo must surface at startup, not as a silent cache
-miss storm deep into a fleet run.
+``REPRO_JOBS``: a typo must surface at startup, not as a silent cache miss
+storm deep into a fleet run.
 """
 
 from __future__ import annotations
@@ -58,7 +58,7 @@ def resolve_artifact_backend(value: str | None = None) -> str:
 
     Unset/empty means ``directory`` (the single-node default).  Unknown names
     are a :class:`~repro.errors.ConfigurationError` with a did-you-mean hint
-    — the same eager strictness as ``REPRO_VEC_BATCH``/``REPRO_JOBS``.
+    — the same eager strictness as ``REPRO_JOBS``.
     """
     if value is None:
         env = os.environ.get("REPRO_ARTIFACT_BACKEND")

@@ -1,41 +1,11 @@
-"""Cross-cell batched cache kernels: many independent lanes, one array program.
+"""Rejection of the retired ``REPRO_VEC_BATCH`` sweep-batching knob.
 
-Sweep cells are independent, so their per-cell cache state can be *stacked*:
-``BatchedCacheReplay`` evolves B single-owner set-associative LRU caches (the
-private-mode LLC of B cells) as 2-D/3-D arrays indexed ``(lane, set, way)``
-and replays one access per lane per step with a handful of vectorised
-operations instead of B interpreted scans.  ``BatchedATDReplay`` does the
-same for the sampled LRU stacks of :class:`~repro.cache.atd.AuxiliaryTagDirectory`,
-producing per-lane hit-position histograms and miss curves.
-
-Both kernels are **bit-identical** to replaying each lane through the
-per-cell implementations (:class:`~repro.cache.cache.SetAssociativeCache`
-with a single owning core, :class:`~repro.cache.atd.AuxiliaryTagDirectory`):
-fills append to the first free slot, evictions overwrite the LRU slot in
-place (first-minimum tie-break, ages are unique), way-limited lanes recycle
-their own LRU line exactly like a partition allocation of that many ways.
-``tests/test_kernel_equivalence.py`` pins this with randomized streams.
-
-Two kernels back the same API:
-
-* ``numpy`` — the batch dimension vectorises: each step is ~a dozen array
-  operations over ``(lanes, ways)`` slices regardless of the lane count.
-* ``python`` — per-lane replay through the per-cell classes themselves,
-  used when numpy is absent.  Identical semantics by construction.
-
-Knobs
------
-``REPRO_VEC_BATCH``
-    Sweep-submission batch size: ``0`` (default) keeps the exact per-cell
-    submission path; ``N >= 1`` groups up to N sweep cells per pool
-    submission (see :func:`repro.experiments.common.run_parallel`) and
-    enables the shared-memory trace transport.  Neither setting changes any
-    computed result, so the knob is deliberately *not* folded into result
-    cache digests (same contract as fault plans).
-``REPRO_VEC_KERNEL``
-    ``auto`` (default) picks numpy when importable, else the pure-Python
-    fallback; ``numpy`` requires numpy (a :class:`ConfigurationError` if it
-    is missing); ``python`` forces the fallback.
+Sweeps once could group several cells per pool submission
+(``REPRO_VEC_BATCH=N``), next to a cross-cell vector replay kernel.
+Neither is part of the program any more: every sweep submits one cell per
+future.  :func:`resolve_vec_batch` stays in this module because the
+benchmark's host manifest (``perfbench/common.py``) imports it from here to
+record the knob's effective value, which is always ``0``.
 """
 
 from __future__ import annotations
@@ -43,666 +13,21 @@ from __future__ import annotations
 import os
 
 from repro.errors import ConfigurationError
-from repro.config import CacheConfig
 
-__all__ = [
-    "BatchedATDReplay",
-    "BatchedCacheReplay",
-    "VEC_KERNELS",
-    "numpy_available",
-    "resolve_vec_batch",
-    "resolve_vec_kernel",
-]
-
-VEC_KERNELS = ("auto", "numpy", "python")
-
-# Words users plausibly type for an on/off knob, mapped to what they meant.
-_VEC_BATCH_OFF_WORDS = ("off", "false", "no", "none", "disabled")
-_VEC_BATCH_ON_WORDS = ("on", "true", "yes", "enabled", "auto", "max", "all")
+__all__ = ["resolve_vec_batch"]
 
 
-def numpy_available() -> bool:
-    """Whether the numpy kernel can be used in this interpreter."""
-    try:
-        import numpy  # noqa: F401
-    except ImportError:
-        return False
-    return True
+def resolve_vec_batch() -> int:
+    """``0``, after checking that ``REPRO_VEC_BATCH`` asks for no batching.
 
-
-def _suggest_word(value: str, candidates) -> str | None:
-    import difflib
-
-    matches = difflib.get_close_matches(value.lower(), list(candidates), n=1)
-    return matches[0] if matches else None
-
-
-def resolve_vec_batch(value: int | str | None = None) -> int:
-    """The sweep-submission batch size: explicit ``value``, else ``REPRO_VEC_BATCH``.
-
-    ``0`` (the default) disables batching — the exact historical per-cell
-    submission path.  Anything that is not a non-negative integer raises
-    :class:`~repro.errors.ConfigurationError`, with a "did you mean" hint for
-    the common on/off words (mirroring the strict ``REPRO_JOBS`` handling:
-    silently clamping a typo hides it until deep inside a sweep).
+    Unset, empty and ``0`` are accepted.  Any other value raises
+    :class:`~repro.errors.ConfigurationError`, so a stale setting fails
+    loudly instead of silently doing nothing.
     """
-    if value is None:
-        env = os.environ.get("REPRO_VEC_BATCH")
-        if env is None or env.strip() == "":
-            return 0
-        value = env
-    if isinstance(value, bool):
+    value = os.environ.get("REPRO_VEC_BATCH", "").strip()
+    if value not in ("", "0"):
         raise ConfigurationError(
-            f"REPRO_VEC_BATCH must be a non-negative integer, got {value!r}"
+            f"REPRO_VEC_BATCH={value!r}: batched sweep submission was removed; "
+            "every cell runs as its own submission. Unset REPRO_VEC_BATCH."
         )
-    if isinstance(value, str):
-        text = value.strip()
-        try:
-            value = int(text)
-        except ValueError:
-            hint = ""
-            word = _suggest_word(text, _VEC_BATCH_OFF_WORDS + _VEC_BATCH_ON_WORDS)
-            if word in _VEC_BATCH_OFF_WORDS:
-                hint = " — did you mean '0' (batching off)?"
-            elif word in _VEC_BATCH_ON_WORDS:
-                hint = " — did you mean a positive batch size such as '16'?"
-            raise ConfigurationError(
-                f"REPRO_VEC_BATCH must be a non-negative integer "
-                f"(0 disables batching), got {value!r}{hint}"
-            ) from None
-    if not isinstance(value, int) or value < 0:
-        raise ConfigurationError(
-            f"REPRO_VEC_BATCH must be a non-negative integer, got {value!r}"
-        )
-    return value
-
-
-def resolve_vec_kernel(value: str | None = None) -> str:
-    """The batched-kernel backend: ``'numpy'`` or ``'python'``.
-
-    Explicit ``value`` wins, else ``REPRO_VEC_KERNEL``, else ``auto``.
-    ``auto`` resolves to numpy when importable.  Requesting ``numpy`` on a
-    machine without it is a configuration error (the caller asked for a
-    speedup the interpreter cannot deliver — falling back silently would
-    misreport every benchmark run); unknown names get a "did you mean" hint.
-    """
-    if value is None:
-        value = os.environ.get("REPRO_VEC_KERNEL") or "auto"
-    name = str(value).strip().lower()
-    if name not in VEC_KERNELS:
-        from repro.registry import suggest_name
-
-        raise ConfigurationError(
-            f"REPRO_VEC_KERNEL must be one of: {', '.join(VEC_KERNELS)}; "
-            f"got {value!r}{suggest_name(name, VEC_KERNELS)}"
-        )
-    if name == "numpy" and not numpy_available():
-        raise ConfigurationError(
-            "REPRO_VEC_KERNEL=numpy but numpy is not importable in this "
-            "interpreter — install numpy or use 'auto'/'python'"
-        )
-    if name == "auto":
-        return "numpy" if numpy_available() else "python"
-    return name
-
-
-# --------------------------------------------------------------------- helpers
-
-
-def _as_streams(per_lane, lanes: int, what: str):
-    streams = [list(stream) for stream in per_lane]
-    if len(streams) != lanes:
-        raise ConfigurationError(
-            f"expected {lanes} {what} streams, got {len(streams)}"
-        )
-    return streams
-
-
-class _Geometry:
-    """Shared shift/mask (or divmod) address decomposition for one config."""
-
-    def __init__(self, config: CacheConfig):
-        config.validate()
-        self.num_sets = config.num_sets
-        self.associativity = config.associativity
-        self.line_bytes = config.line_bytes
-        self.line_shift = config.line_bytes.bit_length() - 1
-        if self.num_sets & (self.num_sets - 1) == 0:
-            self.set_mask: int | None = self.num_sets - 1
-            self.tag_shift = self.line_shift + (self.num_sets.bit_length() - 1)
-        else:
-            self.set_mask = None
-            self.tag_shift = 0
-
-    def set_index(self, address: int) -> int:
-        if self.set_mask is not None:
-            return (address >> self.line_shift) & self.set_mask
-        return (address // self.line_bytes) % self.num_sets
-
-    def tag(self, address: int) -> int:
-        if self.set_mask is not None:
-            return address >> self.tag_shift
-        return address // (self.line_bytes * self.num_sets)
-
-    def decompose_array(self, np, addresses):
-        """Vectorised (set_index, tag) for an address array."""
-        if self.set_mask is not None:
-            return (
-                (addresses >> self.line_shift) & self.set_mask,
-                addresses >> self.tag_shift,
-            )
-        lines = addresses // self.line_bytes
-        return lines % self.num_sets, addresses // (self.line_bytes * self.num_sets)
-
-
-def _pad_streams(np, streams, lanes: int, what: str):
-    """Stack per-lane streams into a (lanes, max_len) array + lengths.
-
-    Equal-length streams (the common sweep shape) convert in one C-level
-    ``asarray`` call; ragged batches fall back to a per-lane copy loop.
-    """
-    if len(streams) != lanes:
-        raise ConfigurationError(
-            f"expected {lanes} {what} streams, got {len(streams)}"
-        )
-    try:
-        stacked = np.asarray(streams, dtype=np.int64)
-    except ValueError:
-        stacked = None
-    if stacked is not None and stacked.ndim == 2:
-        lengths = np.full(lanes, stacked.shape[1], dtype=np.int64)
-        return stacked, lengths
-    lengths = np.asarray([len(stream) for stream in streams], dtype=np.int64)
-    width = int(lengths.max()) if lanes else 0
-    stacked = np.zeros((lanes, width), dtype=np.int64)
-    for lane, stream in enumerate(streams):
-        if len(stream):
-            stacked[lane, : len(stream)] = stream
-    return stacked, lengths
-
-
-class _BucketPlan:
-    """Access streams regrouped into per-(lane, set) buckets, longest first.
-
-    Accesses to different sets never interact (the global use counter's value
-    at each access is just its position in the lane's stream, so recency
-    stamps are known up front).  Stacking per-set runs therefore turns the
-    sequential dimension from the stream length into the longest single-set
-    run, with *every* bucket advancing one access per step.  Ordering the
-    buckets longest-first makes the active set at any step a contiguous
-    prefix, so the step loop reads and writes plain array views instead of
-    fancy-indexed copies; :meth:`steps` additionally tiles the prefix so one
-    tile's line state stays cache-resident across its steps.
-    """
-
-    def __init__(self, np, lane_of, flat_set, flat_stamp, lanes, sets):
-        self.np = np
-        buckets = lanes * sets
-        keys = lane_of * sets + flat_set
-        bucket_len = np.bincount(keys, minlength=buckets)
-        self.border = np.argsort(-bucket_len, kind="stable")  # longest first
-        rank = np.empty(buckets, dtype=np.int64)
-        rank[self.border] = np.arange(buckets, dtype=np.int64)
-        self.lenP = bucket_len[self.border]
-        self.startP = np.concatenate(([0], np.cumsum(self.lenP)[:-1]))
-        # Bucket-major, time order preserved inside each bucket.  Narrow
-        # keys take numpy's O(n) radix path instead of mergesort.
-        ranked = rank[keys]
-        if buckets <= np.iinfo(np.uint16).max:
-            ranked = ranked.astype(np.uint16)
-        self.order = np.argsort(ranked, kind="stable")
-        self.buckets = buckets
-        self.lane_sorted = lane_of[self.order]
-        self.stamp_sorted = flat_stamp[self.order]
-
-    def permute_state(self, *arrays):
-        """Views of per-bucket state in longest-first order (copies)."""
-        return [array[self.border] for array in arrays]
-
-    def writeback_state(self, originals, permuted):
-        for original, view in zip(originals, permuted):
-            original[self.border] = view
-
-    def steps(self, tile_rows: int):
-        """Yield (bucket_slice, flat_index_array) per replay step, tiled."""
-        np = self.np
-        for lo in range(0, self.buckets, tile_rows):
-            tlen = self.lenP[lo : lo + tile_rows]
-            if int(tlen[0]) == 0:
-                break  # lengths only shrink from here on
-            neg = -tlen
-            for position in range(int(tlen[0])):
-                active = int(np.searchsorted(neg, -position, side="left"))
-                rows = slice(lo, lo + active)
-                yield rows, self.startP[rows] + position
-
-
-# --------------------------------------------------------------- cache replay
-
-
-class BatchedCacheReplay:
-    """B independent single-owner LRU caches replayed as one array program.
-
-    Each lane models the private-mode cache of one sweep cell: same geometry
-    across the batch (``config``), optionally a per-lane way limit
-    (``ways[lane]``, equivalent to a partition allocation of that many ways
-    for the lane's single core).  After :meth:`run`, per-lane ``hits`` /
-    ``misses`` counters and the full line state are inspectable; the state
-    layout (occupied ways are slots ``[0, size)``, evictions overwrite in
-    place) matches :class:`~repro.cache.cache.SetAssociativeCache` slot for
-    slot, which is what the equivalence tests compare.
-    """
-
-    def __init__(self, config: CacheConfig, lanes: int,
-                 ways: list[int] | None = None, kernel: str | None = None):
-        if lanes <= 0:
-            raise ConfigurationError("a batched replay needs at least one lane")
-        self.geometry = _Geometry(config)
-        self.config = config
-        self.lanes = lanes
-        assoc = self.geometry.associativity
-        if ways is None:
-            self.ways = [assoc] * lanes
-        else:
-            self.ways = [max(1, min(assoc, int(limit))) for limit in ways]
-            if len(self.ways) != lanes:
-                raise ConfigurationError(
-                    f"expected {lanes} way limits, got {len(self.ways)}"
-                )
-        self.kernel = resolve_vec_kernel(kernel)
-        self.hits: list[int] = [0] * lanes
-        self.misses: list[int] = [0] * lanes
-        self._caches = None   # python kernel lane states
-        self._arrays = None   # numpy kernel lane states
-
-    # -------------------------------------------------------------- execution
-
-    def run(self, addresses, stores=None) -> "BatchedCacheReplay":
-        """Replay per-lane access streams (one sequence of addresses per lane).
-
-        ``stores`` optionally marks store accesses per lane (parallel
-        sequences of booleans); omitted means all loads.  Lanes may have
-        different stream lengths.  Returns ``self`` for chaining.
-        """
-        if self.kernel == "numpy":
-            self._run_numpy(addresses, stores)
-            return self
-        address_streams = _as_streams(addresses, self.lanes, "address")
-        if stores is None:
-            store_streams = [[False] * len(s) for s in address_streams]
-        else:
-            store_streams = _as_streams(stores, self.lanes, "store-flag")
-            for lane in range(self.lanes):
-                if len(store_streams[lane]) != len(address_streams[lane]):
-                    raise ConfigurationError(
-                        f"lane {lane}: {len(address_streams[lane])} addresses "
-                        f"but {len(store_streams[lane])} store flags"
-                    )
-        self._run_python(address_streams, store_streams)
-        return self
-
-    def _run_python(self, address_streams, store_streams) -> None:
-        from repro.cache.cache import SetAssociativeCache
-
-        if self._caches is None:
-            self._caches = []
-            for lane in range(self.lanes):
-                limited = self.ways[lane] < self.geometry.associativity
-                cache = SetAssociativeCache(self.config, name=f"lane{lane}",
-                                            partitioned=limited)
-                if limited:
-                    cache.set_partition({0: self.ways[lane]})
-                self._caches.append(cache)
-        for lane, cache in enumerate(self._caches):
-            access_hit = cache.access_hit
-            for address, store in zip(address_streams[lane], store_streams[lane]):
-                access_hit(address, 0, store)
-            self.hits[lane] = cache.hits
-            self.misses[lane] = cache.misses
-
-    def _run_numpy(self, addresses, stores) -> None:
-        import numpy as np
-
-        geo = self.geometry
-        sets, assoc = geo.num_sets, geo.associativity
-        sentinel = np.iinfo(np.int64).max
-        if self._arrays is None:
-            # Unoccupied ways hold an age *sentinel* so victim selection is a
-            # plain row argmin (occupied stamps are always smaller, and the
-            # empty-set argmin result is never used); lane_state() converts
-            # the sentinels back to the reference representation.
-            self._arrays = {
-                "tags": np.full((self.lanes, sets, assoc), -1, dtype=np.int64),
-                "last_use": np.full((self.lanes, sets, assoc), sentinel,
-                                    dtype=np.int64),
-                "dirty": np.zeros((self.lanes, sets, assoc), dtype=bool),
-                "sizes": np.zeros((self.lanes, sets), dtype=np.int64),
-                "counters": np.zeros(self.lanes, dtype=np.int64),
-                "hits": np.zeros(self.lanes, dtype=np.int64),
-                "misses": np.zeros(self.lanes, dtype=np.int64),
-            }
-        state = self._arrays
-        counters = state["counters"]
-        buckets = self.lanes * sets
-
-        addr, lengths = _pad_streams(np, addresses, self.lanes, "address")
-        if stores is None:
-            store = np.zeros(addr.shape, dtype=bool)
-        else:
-            store, store_lengths = _pad_streams(np, stores, self.lanes,
-                                                "store-flag")
-            if not np.array_equal(store_lengths, lengths):
-                lane = int(np.nonzero(store_lengths != lengths)[0][0])
-                raise ConfigurationError(
-                    f"lane {lane}: {int(lengths[lane])} addresses "
-                    f"but {int(store_lengths[lane])} store flags"
-                )
-            store = store.astype(bool)
-        if int(lengths.sum()) == 0:
-            return
-
-        set_all, tag_all = geo.decompose_array(np, addr)
-        if bool((lengths == addr.shape[1]).all()):
-            width = addr.shape[1]
-            lane_of = np.repeat(np.arange(self.lanes, dtype=np.int64), width)
-            flat_set = set_all.reshape(-1)
-            flat_tag = tag_all.reshape(-1)
-            flat_store = store.reshape(-1)
-            flat_stamp = (np.tile(np.arange(1, width + 1, dtype=np.int64),
-                                  self.lanes)
-                          + np.repeat(counters, width))
-        else:
-            step_range = np.arange(addr.shape[1], dtype=np.int64)
-            valid = step_range[None, :] < lengths[:, None]
-            lane_of, time_of = np.nonzero(valid)  # row-major: time order kept
-            flat_set = set_all[lane_of, time_of]
-            flat_tag = tag_all[lane_of, time_of]
-            flat_store = store[lane_of, time_of]
-            flat_stamp = counters[lane_of] + time_of + 1
-
-        plan = _BucketPlan(np, lane_of, flat_set, flat_stamp,
-                           self.lanes, sets)
-        sorted_tag = flat_tag[plan.order]
-        sorted_store = flat_store[plan.order]
-        sorted_stamp = plan.stamp_sorted
-        tags2d = state["tags"].reshape(buckets, assoc)
-        ages2d = state["last_use"].reshape(buckets, assoc)
-        dirty2d = state["dirty"].reshape(buckets, assoc)
-        sizes1d = state["sizes"].reshape(buckets)
-        tagsP, agesP, dirtyP, sizesP = plan.permute_state(
-            tags2d, ages2d, dirty2d, sizes1d)
-        effP = np.repeat(np.asarray(self.ways, dtype=np.int64), sets)[plan.border]
-
-        hit_sorted = np.zeros(plan.order.size, dtype=bool)
-        tile_rows = max(1024, (1 << 18) // assoc)
-        row_idx = np.arange(tile_rows, dtype=np.int64)
-        for rows_slice, idx in plan.steps(tile_rows=tile_rows):
-            tag = sorted_tag[idx]
-            rows = tagsP[rows_slice]                        # view, no copy
-            match = rows == tag[:, None]
-            hit = match.any(axis=1)
-            hit_way = match.argmax(axis=1)
-            size = sizesP[rows_slice]
-            victim = agesP[rows_slice].argmin(axis=1)
-            can_fill = size < effP[rows_slice]
-            # A hit "refills" its own way with the same tag, so hits and
-            # misses share one write path; each bucket appears once per
-            # step, so the scatter writes are race-free.
-            way = np.where(hit, hit_way, np.where(can_fill, size, victim))
-            ar = row_idx[: way.size]
-            dirty_rows = dirtyP[rows_slice]
-            rows[ar, way] = tag
-            agesP[rows_slice][ar, way] = sorted_stamp[idx]
-            dirty_rows[ar, way] = sorted_store[idx] | (hit & dirty_rows[ar, way])
-            sizesP[rows_slice] = size + (~hit & can_fill)
-            hit_sorted[idx] = hit
-
-        plan.writeback_state((tags2d, ages2d, dirty2d, sizes1d),
-                             (tagsP, agesP, dirtyP, sizesP))
-        counters += lengths
-        lane_hits = np.rint(np.bincount(plan.lane_sorted, weights=hit_sorted,
-                                        minlength=self.lanes)).astype(np.int64)
-        state["hits"] += lane_hits
-        state["misses"] += lengths - lane_hits
-        self.hits = state["hits"].tolist()
-        self.misses = state["misses"].tolist()
-
-    # ------------------------------------------------------------- inspection
-
-    def miss_rate(self, lane: int) -> float:
-        total = self.hits[lane] + self.misses[lane]
-        return self.misses[lane] / total if total else 0.0
-
-    def lane_state(self, lane: int) -> tuple[list[int], list[int], list[bool], list[int]]:
-        """Flat (tags, last_use, dirty, set_sizes) of one lane, slot-compatible
-        with the private arrays of :class:`SetAssociativeCache` (tests)."""
-        if self.kernel == "numpy":
-            if self._arrays is None:
-                sets, assoc = self.geometry.num_sets, self.geometry.associativity
-                return ([-1] * sets * assoc, [0] * sets * assoc,
-                        [False] * sets * assoc, [0] * sets)
-            import numpy as np
-
-            state = self._arrays
-            # Unoccupied ways hold the int64-max age sentinel internally (it
-            # makes the victim scan a plain argmin); the per-cell cache keeps
-            # 0 there, so mask them for slot-compatibility.
-            last_use = state["last_use"][lane].copy()
-            unoccupied = (
-                np.arange(last_use.shape[1])[None, :]
-                >= state["sizes"][lane][:, None]
-            )
-            last_use[unoccupied] = 0
-            return (
-                state["tags"][lane].reshape(-1).tolist(),
-                last_use.reshape(-1).tolist(),
-                state["dirty"][lane].reshape(-1).tolist(),
-                state["sizes"][lane].tolist(),
-            )
-        if self._caches is None:
-            sets, assoc = self.geometry.num_sets, self.geometry.associativity
-            return ([-1] * sets * assoc, [0] * sets * assoc,
-                    [False] * sets * assoc, [0] * sets)
-        cache = self._caches[lane]
-        return (list(cache._tags), list(cache._last_use),
-                list(cache._dirty), list(cache._set_sizes))
-
-
-# ----------------------------------------------------------------- ATD replay
-
-
-class BatchedATDReplay:
-    """B independent sampled LRU tag directories replayed as one array program.
-
-    Mirrors :class:`~repro.cache.atd.AuxiliaryTagDirectory` lane for lane:
-    stride set sampling, per-set LRU stacks bounded by the associativity, a
-    hit-position histogram and sampled miss/access counters, from which
-    per-lane miss curves follow.  The numpy kernel represents each stack as a
-    (tags, recency) pair — the stack position of a hit is the number of
-    resident lines touched more recently, and the evicted line is the
-    least-recent one, which reproduces list-stack semantics exactly.
-    """
-
-    def __init__(self, llc_config: CacheConfig, lanes: int,
-                 sampled_sets: int = 32, kernel: str | None = None):
-        if lanes <= 0:
-            raise ConfigurationError("a batched replay needs at least one lane")
-        if sampled_sets <= 0:
-            raise ConfigurationError("the ATD must sample at least one set")
-        self.geometry = _Geometry(llc_config)
-        self.config = llc_config
-        self.lanes = lanes
-        self.sampled_sets = min(sampled_sets, self.geometry.num_sets)
-        self.stride = max(1, self.geometry.num_sets // self.sampled_sets)
-        self.kernel = resolve_vec_kernel(kernel)
-        self._atds = None
-        self._arrays = None
-
-    @property
-    def sampling_factor(self) -> float:
-        return self.geometry.num_sets / self.sampled_sets
-
-    def _slot_of(self, set_index: int) -> int:
-        if set_index % self.stride == 0:
-            slot = set_index // self.stride
-            if slot < self.sampled_sets:
-                return slot
-        return -1
-
-    # -------------------------------------------------------------- execution
-
-    def run(self, addresses) -> "BatchedATDReplay":
-        """Replay per-lane address streams through every lane's sampled stacks."""
-        streams = _as_streams(addresses, self.lanes, "address")
-        if self.kernel == "numpy":
-            self._run_numpy(streams)
-        else:
-            self._run_python(streams)
-        return self
-
-    def _run_python(self, streams) -> None:
-        from repro.cache.atd import AuxiliaryTagDirectory
-
-        if self._atds is None:
-            self._atds = [
-                AuxiliaryTagDirectory(self.config, sampled_sets=self.sampled_sets,
-                                      core=lane)
-                for lane in range(self.lanes)
-            ]
-        for lane, atd in enumerate(self._atds):
-            access = atd.access
-            for address in streams[lane]:
-                access(address)
-
-    def _run_numpy(self, streams) -> None:
-        import numpy as np
-
-        geo = self.geometry
-        assoc = geo.associativity
-        if self._arrays is None:
-            shape = (self.lanes, self.sampled_sets, assoc)
-            # Unoccupied ways keep recency 0: real stamps are >= 1, so the
-            # strict ">" in the position rank never counts them, and the
-            # victim argmin is only consulted when the stack is full.
-            self._arrays = {
-                "tags": np.full(shape, -1, dtype=np.int64),
-                "recency": np.zeros(shape, dtype=np.int64),
-                "sizes": np.zeros((self.lanes, self.sampled_sets), dtype=np.int64),
-                "counters": np.zeros(self.lanes, dtype=np.int64),
-                "histogram": np.zeros((self.lanes, assoc), dtype=np.int64),
-                "sampled_misses": np.zeros(self.lanes, dtype=np.int64),
-                "sampled_accesses": np.zeros(self.lanes, dtype=np.int64),
-            }
-        state = self._arrays
-        counters = state["counters"]
-        addr, lengths = _pad_streams(np, streams, self.lanes, "address")
-        if int(lengths.sum()) == 0:
-            return
-        set_all, tag_all = geo.decompose_array(np, addr)
-
-        # Filter to sampled accesses up front: only ~1/stride of the stream
-        # touches the directory, so the replay works on the sampled subset.
-        step_range = np.arange(addr.shape[1], dtype=np.int64)
-        valid = step_range[None, :] < lengths[:, None]
-        sampled = valid & (set_all % self.stride == 0) \
-            & (set_all // self.stride < self.sampled_sets)
-        # Stamp = per-lane sampled-access counter *after* increment.
-        stamps2d = np.cumsum(sampled, axis=1) + counters[:, None]
-        lane_of, time_of = np.nonzero(sampled)  # row-major: time order kept
-        if lane_of.size == 0:
-            return
-        flat_slot = set_all[lane_of, time_of] // self.stride
-        flat_tag = tag_all[lane_of, time_of]
-        flat_stamp = stamps2d[lane_of, time_of]
-        n_sampled = sampled.sum(axis=1)
-        counters += n_sampled
-        state["sampled_accesses"] += n_sampled
-
-        plan = _BucketPlan(np, lane_of, flat_slot, flat_stamp,
-                           self.lanes, self.sampled_sets)
-        sorted_tag = flat_tag[plan.order]
-        sorted_stamp = plan.stamp_sorted
-        buckets = self.lanes * self.sampled_sets
-        tags2d = state["tags"].reshape(buckets, assoc)
-        rec2d = state["recency"].reshape(buckets, assoc)
-        sizes1d = state["sizes"].reshape(buckets)
-        tagsP, recP, sizesP = plan.permute_state(tags2d, rec2d, sizes1d)
-
-        hit_sorted = np.zeros(plan.order.size, dtype=bool)
-        pos_sorted = np.zeros(plan.order.size, dtype=np.int64)
-        for rows_slice, idx in plan.steps(tile_rows=max(1024, (1 << 18) // assoc)):
-            tag = sorted_tag[idx]
-            rows = tagsP[rows_slice]                        # view, no copy
-            match = rows == tag[:, None]
-            hit = match.any(axis=1)
-            hit_way = match.argmax(axis=1)[:, None]
-            rec = recP[rows_slice]
-            size = sizesP[rows_slice]
-            hit_rec = np.take_along_axis(rec, hit_way, 1)
-            # Stack rank of the hit line: resident lines touched more
-            # recently (stamps are unique; unoccupied recency 0 never counts).
-            position = (rec > hit_rec).sum(axis=1)
-            can_fill = size < assoc
-            victim = rec.argmin(axis=1)
-            way = np.where(hit, hit_way[:, 0],
-                           np.where(can_fill, size, victim))[:, None]
-            np.put_along_axis(rows, way, tag[:, None], 1)
-            np.put_along_axis(rec, way, sorted_stamp[idx][:, None], 1)
-            sizesP[rows_slice] = size + (~hit & can_fill)
-            hit_sorted[idx] = hit
-            pos_sorted[idx] = position
-
-        plan.writeback_state((tags2d, rec2d, sizes1d), (tagsP, recP, sizesP))
-        hit_keys = plan.lane_sorted[hit_sorted] * assoc + pos_sorted[hit_sorted]
-        state["histogram"] += np.bincount(
-            hit_keys, minlength=self.lanes * assoc
-        ).reshape(self.lanes, assoc)
-        lane_hits = np.bincount(plan.lane_sorted, weights=hit_sorted,
-                                minlength=self.lanes)
-        state["sampled_misses"] += n_sampled - np.rint(lane_hits).astype(np.int64)
-
-    # ------------------------------------------------------------- inspection
-
-    def hit_position_histogram(self, lane: int) -> list[float]:
-        if self.kernel == "numpy":
-            if self._arrays is None:
-                return [0.0] * self.geometry.associativity
-            return [float(v) for v in self._arrays["histogram"][lane]]
-        if self._atds is None:
-            return [0.0] * self.geometry.associativity
-        return list(self._atds[lane].hit_position_histogram)
-
-    def sampled_misses(self, lane: int) -> float:
-        if self.kernel == "numpy":
-            return float(self._arrays["sampled_misses"][lane]) if self._arrays else 0.0
-        return self._atds[lane].sampled_misses if self._atds else 0.0
-
-    def sampled_accesses(self, lane: int) -> float:
-        if self.kernel == "numpy":
-            return float(self._arrays["sampled_accesses"][lane]) if self._arrays else 0.0
-        return self._atds[lane].sampled_accesses if self._atds else 0.0
-
-    def stack(self, lane: int, slot: int) -> list[int]:
-        """The LRU stack of one sampled set, MRU first (tests)."""
-        if self.kernel != "numpy":
-            if self._atds is None:
-                return []
-            return list(self._atds[lane]._stacks[slot])
-        if self._arrays is None:
-            return []
-        size = int(self._arrays["sizes"][lane, slot])
-        tags = self._arrays["tags"][lane, slot, :size]
-        ages = self._arrays["recency"][lane, slot, :size]
-        order = sorted(range(size), key=lambda way: -int(ages[way]))
-        return [int(tags[way]) for way in order]
-
-    def miss_curve(self, lane: int, scale_to_full_cache: bool = True):
-        """The lane's accumulated miss curve (mirrors the per-cell ATD)."""
-        from repro.cache.miss_curve import MissCurve
-
-        curve = MissCurve.from_hit_histogram(
-            self.hit_position_histogram(lane), self.sampled_misses(lane)
-        )
-        if scale_to_full_cache:
-            return curve.scaled(self.sampling_factor)
-        return curve
+    return 0

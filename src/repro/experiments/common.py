@@ -246,79 +246,32 @@ def _supervised_call(payload):
     return function(*args)
 
 
-def _supervised_batch_call(payload):
-    """Top-level worker adapter for one *batched* submission.
-
-    ``payload`` is ``(function, entries, plan_dict, trace_dir)`` with
-    ``entries`` a list of ``(cell, args, attempt)``.  The cells evaluate
-    sequentially in this worker; each cell's scripted fault still fires at
-    its own index, and a per-cell evaluator exception is captured into the
-    outcome list — ``[(True, value) | (False, error), ...]``, parallel to
-    ``entries`` — so one failing cell never discards its batch-mates'
-    finished results.  (A scripted *worker crash* still kills the whole
-    batch; the supervisor reschedules every member.)  ``trace_dir``, when
-    present, installs the sweep's shared-memory trace directory before any
-    cell runs, so ``build_trace`` attaches instead of regenerating.
-    """
-    function, entries, plan_dict, trace_dir = payload
-    if trace_dir:
-        from repro.workloads.shm import install_shared_traces
-
-        install_shared_traces(trace_dir)
-    plan = None
-    in_worker = False
-    if plan_dict is not None:
-        import multiprocessing
-
-        from repro.faults import FaultPlan
-
-        plan = FaultPlan.from_dict(plan_dict)
-        in_worker = multiprocessing.parent_process() is not None
-    outcomes = []
-    for cell, args, attempt in entries:
-        try:
-            if plan is not None:
-                plan.inject(cell, attempt, in_worker=in_worker)
-            outcomes.append((True, function(*args)))
-        except Exception as error:
-            outcomes.append((False, error))
-    return outcomes
-
-
 def _supervised_map(function: Callable, tasks: list[tuple], pending: list[int],
                     workers: int, cost_key: Callable[[tuple], float] | None,
                     policy: RetryPolicy, timeout: float | None,
                     cancel: CancelToken | None, plan,
                     on_value: Callable[[int, object], None],
-                    recheck: Callable[[int], tuple[bool, object]],
-                    batch_size: int = 0,
-                    trace_dir: dict | None = None) -> None:
+                    recheck: Callable[[int], tuple[bool, object]]) -> None:
     """Supervised fan-out of the cells in ``pending`` over the shared pool.
 
-    Cells are submitted largest first under ``cost_key`` and watched until
-    answered.  ``batch_size == 0`` submits every cell as its own future (the
-    exact historical path); ``batch_size >= 1`` groups up to that many ready
-    cells per submission — the batch is the unit of *transport*, while
-    supervision stays per cell:
+    Cells are submitted largest first under ``cost_key``, one future per
+    cell, and watched until answered:
 
-    * a completed future reports every finished cell through ``on_value``
-      immediately — the caller persists each to the result cache, so work
-      done before a later crash is never redone;
+    * a completed cell is reported through ``on_value`` immediately — the
+      caller persists it to the result cache, so work done before a later
+      crash is never redone;
     * a transient failure (injected fault, broken pool, timeout) charges the
       failing cell one attempt and reschedules it after deterministic
-      backoff, re-checking the cache first via ``recheck``; batch-mates that
-      already finished keep their results, and a dead pool (which takes the
-      whole batch with it) reschedules every member;
+      backoff, re-checking the cache first via ``recheck``; a dead pool
+      reschedules every in-flight cell;
     * a permanent evaluator failure — or a transient one out of attempt
       budget — tears the pool down and surfaces;
     * a set cancel token stops submissions, lets in-flight cells finish (and
       be persisted), then raises :class:`JobCancelledError`;
-    * a batch running past ``timeout`` kills the pool's workers; every cell
-      of the hung batch is charged an attempt, innocent casualties from
-      other batches are resubmitted free.
+    * a cell running past ``timeout`` kills the pool's workers; the hung
+      cell is charged an attempt, innocent casualties are resubmitted free.
     """
     plan_dict = plan.to_dict() if plan is not None else None
-    batching = batch_size >= 1
     order = sorted(pending)
     if cost_key is not None:
         # Stable sort: equal costs keep submission order deterministic.
@@ -328,7 +281,7 @@ def _supervised_map(function: Callable, tasks: list[tuple], pending: list[int],
     attempts = dict.fromkeys(pending, 0)
     ready = list(order)                 # cells to (re)submit, in order
     delayed: list[tuple[float, int]] = []  # (monotonic ready time, cell)
-    active: dict = {}                   # future -> list of cells
+    active: dict = {}                   # future -> cell
     started: dict = {}                  # future -> monotonic start time
     rebuilds_without_progress = 0
 
@@ -355,29 +308,6 @@ def _supervised_map(function: Callable, tasks: list[tuple], pending: list[int],
         delay = policy.backoff_seconds(cell, attempt)
         delayed.append((time.monotonic() + delay, cell))
 
-    def _absorb(future, group: list) -> None:
-        """Report a successfully completed future's per-cell results.
-
-        Per-cell failures inside a batch are classified exactly like the
-        unbatched path: transient ones reschedule, permanent ones raise
-        (after the batch's finished cells were answered).
-        """
-        if not batching:
-            _answer(group[0], future.result())
-            return
-        failures = []
-        for cell, (ok, value) in zip(group, future.result()):
-            if ok:
-                _answer(cell, value)
-            else:
-                failures.append((cell, value))
-        for cell, error in failures:
-            if is_transient(error):
-                _reschedule(cell, error)
-            else:
-                record(permanent_failures=1)
-                raise error
-
     def _rebuild_pool() -> None:
         nonlocal rebuilds_without_progress
         rebuilds_without_progress += 1
@@ -388,27 +318,24 @@ def _supervised_map(function: Callable, tasks: list[tuple], pending: list[int],
                 f"({_MAX_CONSECUTIVE_REBUILDS} consecutive rebuilds); giving up"
             )
 
-    def _requeue_active(casualties: dict, culprits: list | None,
-                        culprit_error: BaseException | None) -> None:
+    def _requeue_active(casualties: dict, culprit: int,
+                        culprit_error: BaseException) -> None:
         """Resubmit in-flight cells after a pool teardown.
 
         Completed-but-uncollected futures keep their results; the culprit
-        cells (if named) are charged an attempt; everyone else requeues free.
+        cell is charged an attempt; everyone else requeues free.
         """
-        culprit_set = set(culprits or ())
-        for future, group in casualties.items():
+        for future, cell in casualties.items():
             if future.done() and not future.cancelled() and future.exception() is None:
-                _absorb(future, group)
-                continue
-            for cell in group:
-                if cell in culprit_set and culprit_error is not None:
-                    _reschedule(cell, culprit_error)
-                elif cell in unanswered:
-                    hit, value = recheck(cell)
-                    if hit:
-                        _answer(cell, value)
-                    else:
-                        ready.append(cell)
+                _answer(cell, future.result())
+            elif cell == culprit:
+                _reschedule(cell, culprit_error)
+            elif cell in unanswered:
+                hit, value = recheck(cell)
+                if hit:
+                    _answer(cell, value)
+                else:
+                    ready.append(cell)
 
     try:
         while unanswered:
@@ -417,16 +344,11 @@ def _supervised_map(function: Callable, tasks: list[tuple], pending: list[int],
                 # run to completion so their results reach the cache.
                 for future in active:
                     future.cancel()
-                for future, group in active.items():
+                for future, cell in active.items():
                     if future.cancelled():
                         continue
                     try:
-                        if batching:
-                            for cell, (ok, value) in zip(group, future.result()):
-                                if ok:
-                                    _answer(cell, value)
-                        else:
-                            _answer(group[0], future.result())
+                        _answer(cell, future.result())
                     except BaseException:
                         pass  # a failing cell cannot matter: we're cancelling
                 record(cancelled=1)
@@ -439,25 +361,13 @@ def _supervised_map(function: Callable, tasks: list[tuple], pending: list[int],
                 ready.extend(cell for _when, cell in due)
 
             while ready:
-                group = []
-                limit = batch_size if batching else 1
-                while ready and len(group) < limit:
-                    cell = ready.pop(0)
-                    if cell in unanswered:
-                        group.append(cell)
-                if not group:
+                cell = ready.pop(0)
+                if cell not in unanswered:
                     continue
-                if batching:
-                    entries = [(cell, tasks[cell], attempts[cell]) for cell in group]
-                    payload = (function, entries, plan_dict, trace_dir)
-                    call = _supervised_batch_call
-                else:
-                    cell = group[0]
-                    payload = (function, tasks[cell], cell, attempts[cell], plan_dict)
-                    call = _supervised_call
+                payload = (function, tasks[cell], cell, attempts[cell], plan_dict)
                 pool = get_executor(workers)
                 try:
-                    future = pool.submit(call, payload)
+                    future = pool.submit(_supervised_call, payload)
                 except RuntimeError as error:
                     if "cannot schedule new futures" not in str(error):
                         raise
@@ -466,9 +376,9 @@ def _supervised_map(function: Callable, tasks: list[tuple], pending: list[int],
                     # finishing does exactly that): rebuild and resubmit.
                     shutdown_executor()
                     _rebuild_pool()
-                    ready[:0] = group
+                    ready.insert(0, cell)
                     continue
-                active[future] = group
+                active[future] = cell
                 if future.running():
                     started[future] = time.monotonic()
 
@@ -487,25 +397,24 @@ def _supervised_map(function: Callable, tasks: list[tuple], pending: list[int],
 
             pool_broke = False
             for future in done:
-                group = active.pop(future)
+                cell = active.pop(future)
                 started.pop(future, None)
                 if future.cancelled():
-                    ready.extend(cell for cell in group if cell in unanswered)
+                    if cell in unanswered:
+                        ready.append(cell)
                     continue
                 error = future.exception()
                 if error is None:
-                    _absorb(future, group)
+                    _answer(cell, future.result())
                 elif isinstance(error, BrokenProcessPool):
                     # The pool is dead; every other in-flight future is about
                     # to fail the same way.  Handle them all at once below.
                     pool_broke = True
-                    for cell in group:
-                        if cell in unanswered:
-                            _reschedule(cell, error)
+                    if cell in unanswered:
+                        _reschedule(cell, error)
                 elif is_transient(error):
-                    for cell in group:
-                        if cell in unanswered:
-                            _reschedule(cell, error)
+                    if cell in unanswered:
+                        _reschedule(cell, error)
                 else:
                     record(permanent_failures=1)
                     raise error
@@ -514,30 +423,28 @@ def _supervised_map(function: Callable, tasks: list[tuple], pending: list[int],
                 casualties, active, started = dict(active), {}, {}
                 shutdown_executor()
                 _rebuild_pool()
-                for future, group in casualties.items():
+                for future, cell in casualties.items():
                     error = None if not future.done() or future.cancelled() \
                         else future.exception()
                     if future.done() and not future.cancelled() and error is None:
-                        _absorb(future, group)
+                        _answer(cell, future.result())
+                    elif cell not in unanswered:
                         continue
-                    for cell in group:
-                        if cell not in unanswered:
-                            continue
-                        if isinstance(error, BrokenProcessPool):
-                            _reschedule(cell, error)
-                        else:
-                            ready.append(cell)
+                    elif isinstance(error, BrokenProcessPool):
+                        _reschedule(cell, error)
+                    else:
+                        ready.append(cell)
                 continue
 
             if timeout is not None and active:
                 now = time.monotonic()
-                hung: list | None = None
-                for future, group in active.items():
+                hung: int | None = None
+                for future, cell in active.items():
                     if future not in started:
                         if future.running():
                             started[future] = now
                     elif now - started[future] > timeout:
-                        hung = group
+                        hung = cell
                         break
                 if hung is not None:
                     record(timeouts=1)
@@ -545,9 +452,9 @@ def _supervised_map(function: Callable, tasks: list[tuple], pending: list[int],
                     _terminate_executor()
                     _rebuild_pool()
                     _requeue_active(
-                        casualties, culprits=hung,
+                        casualties, culprit=hung,
                         culprit_error=CellTimeoutError(
-                            f"cell(s) {hung} exceeded the {timeout:g}s budget"
+                            f"cell {hung} exceeded the {timeout:g}s budget"
                         ),
                     )
     except JobCancelledError:
@@ -572,8 +479,7 @@ def run_parallel(function: Callable, argument_tuples: Sequence[tuple],
                  cache: bool = True,
                  progress: Callable[[int, int], None] | None = None,
                  cancel: CancelToken | None = None,
-                 fault_plan=None,
-                 trace_keys: Callable[[tuple], Sequence[tuple]] | None = None) -> list:
+                 fault_plan=None) -> list:
     """Apply ``function`` to every argument tuple, in order, possibly in parallel.
 
     ``function`` must be a picklable top-level callable and a pure function of
@@ -602,17 +508,9 @@ def run_parallel(function: Callable, argument_tuples: Sequence[tuple],
     :class:`~repro.errors.JobCancelledError`.  ``fault_plan`` (default: the
     ``REPRO_FAULT_PLAN`` environment plan, if any) injects deterministic
     faults at chosen cell indices — indices count positions in
-    ``argument_tuples``.
-
-    ``REPRO_VEC_BATCH`` (see :func:`repro.cache.batch.resolve_vec_batch`)
-    groups up to that many cells per pool submission; ``0`` (the default)
-    keeps the exact per-cell path.  Batching changes transport only — retry
-    accounting, cancellation checks and ``progress`` callbacks stay per
-    cell, and results are bit-identical either way.  ``trace_keys``, when
-    given, maps one argument tuple to the ``(benchmark, instructions,
-    seed)`` keys of the traces that cell replays; batched sweeps publish
-    those traces once through shared memory
-    (:mod:`repro.workloads.shm`) instead of regenerating them per worker.
+    ``argument_tuples``.  ``REPRO_VEC_BATCH``, a retired batching knob,
+    raises :class:`~repro.errors.ConfigurationError` unless unset, empty or
+    ``0``.
     """
     if cancel is not None:
         cancel.raise_if_cancelled()
@@ -625,11 +523,11 @@ def run_parallel(function: Callable, argument_tuples: Sequence[tuple],
         if progress is not None:
             progress(0, 0)
         return []
-    # Validate the jobs and batch knobs eagerly: a typo in REPRO_JOBS or
-    # REPRO_VEC_BATCH must surface even when every cell is served from the
+    # Validate the knobs eagerly: a typo in REPRO_JOBS, or a stale
+    # REPRO_VEC_BATCH, must surface even when every cell is served from the
     # cache and no pool is ever built.
     workers = resolve_jobs(jobs)
-    batch_size = resolve_vec_batch()
+    resolve_vec_batch()
     results: list = [None] * len(tasks)
     pending = list(range(len(tasks)))
     digests: list[str] | None = None
@@ -718,24 +616,8 @@ def run_parallel(function: Callable, argument_tuples: Sequence[tuple],
                         attempt += 1
                 _deliver(index, value)
         else:
-            store = None
-            trace_dir: dict | None = None
-            if batch_size >= 1 and trace_keys is not None:
-                from repro.sim.runner import build_trace
-                from repro.workloads.shm import SharedTraceStore
-
-                store = SharedTraceStore()
-                for index in pending:
-                    for key in trace_keys(tasks[index]):
-                        store.publish(key, build_trace(*key))
-                trace_dir = store.directory()
-            try:
-                _supervised_map(function, tasks, pending, workers, cost_key,
-                                policy=policy, timeout=cell_timeout_from_env(),
-                                cancel=cancel, plan=fault_plan,
-                                on_value=_deliver, recheck=_recheck,
-                                batch_size=batch_size, trace_dir=trace_dir)
-            finally:
-                if store is not None:
-                    store.unlink_all()
+            _supervised_map(function, tasks, pending, workers, cost_key,
+                            policy=policy, timeout=cell_timeout_from_env(),
+                            cancel=cancel, plan=fault_plan,
+                            on_value=_deliver, recheck=_recheck)
     return results

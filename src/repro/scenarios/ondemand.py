@@ -45,7 +45,6 @@ from repro.faults import FaultPlan, plan_from_env
 from repro.scenarios.query import QuerySpec
 from repro.scenarios.runner import (
     EVALUATORS,
-    TRACE_KEY_BUILDERS,
     axis_value_label,
     expand_cells,
 )
@@ -143,7 +142,6 @@ class InProcessWaveExecutor(WaveExecutor):
                 outcomes = run_parallel(
                     evaluator, tasks, jobs=self.jobs, cost_key=cost_key,
                     cache=self.cache, cancel=token, fault_plan=plan,
-                    trace_keys=TRACE_KEY_BUILDERS[spec.kind],
                 )
             except BaseException as error:  # noqa: BLE001 — surfaced via wait()
                 handle._error = error

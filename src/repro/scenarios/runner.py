@@ -394,49 +394,11 @@ def _policy_switch_cell_cost(args: tuple) -> float:
     return float(len(workload.benchmarks) * instructions_per_core)
 
 
-def _workload_trace_keys(workload, instructions_per_core: int,
-                         seed: int) -> list[tuple]:
-    """The ``build_trace`` keys one cell's evaluator will request.
-
-    Every evaluator ultimately routes through
-    :func:`repro.sim.runner.run_workload`, which builds one trace per core
-    with ``seed + core`` — these keys mirror that exactly, so a batched sweep
-    can publish precisely the traces its workers would otherwise regenerate.
-    """
-    return [
-        (name, instructions_per_core, seed + core)
-        for core, name in enumerate(workload.benchmarks)
-    ]
-
-
-def _accuracy_trace_keys(args: tuple) -> list[tuple]:
-    return _workload_trace_keys(args[0], args[2], args[4])
-
-
-def _throughput_trace_keys(args: tuple) -> list[tuple]:
-    return _workload_trace_keys(args[0], args[3], args[6])
-
-
-def _attribution_trace_keys(args: tuple) -> list[tuple]:
-    return _workload_trace_keys(args[0], args[2], args[4])
-
-
-def _policy_switch_trace_keys(args: tuple) -> list[tuple]:
-    return _workload_trace_keys(args[0], args[4], args[7])
-
-
 EVALUATORS: dict[str, tuple[Callable, Callable[[tuple], float]]] = {
     "accuracy": (evaluate_workload_accuracy, _accuracy_cell_cost),
     "throughput": (evaluate_workload_throughput, _throughput_cell_cost),
     "interference_attribution": (evaluate_workload_attribution, _attribution_cell_cost),
     "policy_switching": (evaluate_workload_policy_switch, _policy_switch_cell_cost),
-}
-
-TRACE_KEY_BUILDERS: dict[str, Callable[[tuple], list[tuple]]] = {
-    "accuracy": _accuracy_trace_keys,
-    "throughput": _throughput_trace_keys,
-    "interference_attribution": _attribution_trace_keys,
-    "policy_switching": _policy_switch_trace_keys,
 }
 
 TASK_BUILDERS: dict[str, Callable] = {
@@ -528,6 +490,5 @@ def run_scenario(spec: ScenarioSpec, jobs: int | None = None,
         evaluator, [cell.task for cell in cells], jobs=jobs, cost_key=cost_key,
         cache=cache, progress=progress, cancel=cancel,
         fault_plan=spec.fault_plan,
-        trace_keys=TRACE_KEY_BUILDERS[spec.kind],
     )
     return assemble_result(spec, cells, outcomes)

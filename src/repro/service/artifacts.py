@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import json
 import os
-import time
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -196,11 +195,3 @@ class ArtifactStore:
                 continue
             total -= size
             self.stats.evictions += 1
-
-    def _touch(self, path: Path) -> None:
-        # Kept for backwards compatibility with callers that touch by path.
-        try:
-            now = time.time()
-            os.utime(path, (now, now))
-        except OSError:
-            pass

@@ -7,8 +7,8 @@ it grants *leases*.  Two executors drain them:
     In-process worker threads (the single-node default).  Each thread pulls
     leases straight off the manager and runs cells through
     :func:`~repro.experiments.common.run_parallel` — the same supervised
-    process-pool path, with retries, timeouts, fault injection, trace
-    publication and ``REPRO_VEC_BATCH`` batching all intact.
+    process-pool path, with retries, timeouts and fault injection all
+    intact.
 
 :class:`~repro.service.workers.remote.RemoteWorker`
     The ``python -m repro worker`` process: long-polls a broker's HTTP lease

@@ -1,9 +1,9 @@
 """Environment knobs of the worker fleet (strictly validated).
 
-Mirrors the ``REPRO_VEC_BATCH``/``REPRO_JOBS`` philosophy: a typo in a knob
-must fail loudly at startup with a did-you-mean hint, never be silently
-clamped into behaviour nobody asked for — on a fleet, a silently-wrong lease
-TTL shows up as mysterious requeue storms hours later.
+Mirrors the ``REPRO_JOBS`` philosophy, plus a did-you-mean hint: a typo in a
+knob must fail loudly at startup, never be silently clamped into behaviour
+nobody asked for — on a fleet, a silently-wrong lease TTL shows up as
+mysterious requeue storms hours later.
 
 ``REPRO_LEASE_TTL``
     Seconds a lease stays valid without a heartbeat (default 30).  Workers

@@ -6,7 +6,7 @@ default) behaves exactly like the old dispatcher-thread design — one worker,
 pulling one job at a time, taking *all* of its pending cells in a single
 lease and running them through :func:`~repro.experiments.common.
 run_parallel` with the shared process pool, supervised retries, per-cell
-timeouts, fault injection and trace publication unchanged.  More local
+timeouts and fault injection unchanged.  More local
 workers (or remote workers attaching over HTTP) simply mean more lease
 holders draining the same queue.
 
@@ -28,7 +28,7 @@ import threading
 from repro.errors import JobCancelledError, ServiceError
 from repro.experiments.common import run_parallel
 from repro.faults import FaultPlan, plan_from_env
-from repro.scenarios.runner import EVALUATORS, TRACE_KEY_BUILDERS
+from repro.scenarios.runner import EVALUATORS
 
 __all__ = ["LocalPool"]
 
@@ -126,7 +126,6 @@ class LocalPool:
                 evaluator, grant.tasks, jobs=self.sweep_jobs,
                 cost_key=cost_key, cache=True, progress=progress,
                 cancel=grant.token, fault_plan=plan,
-                trace_keys=TRACE_KEY_BUILDERS[spec.kind],
             )
         except JobCancelledError:
             self._complete(grant, cancelled=True)

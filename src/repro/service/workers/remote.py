@@ -6,9 +6,8 @@ the spec JSON plus cell *indices* —
 :func:`~repro.scenarios.runner.expand_cells` is deterministic, so indices
 are a complete, compact description of the work), executes the slice through
 the exact same supervised :func:`~repro.experiments.common.run_parallel`
-path a local run uses — retries, per-cell timeouts, fault injection,
-``REPRO_VEC_BATCH`` batching, trace publication — and posts the pickled
-outcomes back.
+path a local run uses — retries, per-cell timeouts, fault injection — and
+posts the pickled outcomes back.
 
 A background heartbeat thread refreshes the lease within its TTL and relays
 progress; the broker's reply doubles as the cancellation channel (a remote
@@ -35,7 +34,7 @@ from repro.errors import JobCancelledError, ServiceError
 from repro.experiments.common import resolve_jobs, run_parallel
 from repro.experiments.supervisor import CancelToken
 from repro.faults import FaultPlan, plan_from_env
-from repro.scenarios.runner import EVALUATORS, TRACE_KEY_BUILDERS, expand_cells
+from repro.scenarios.runner import EVALUATORS, expand_cells
 from repro.scenarios.spec import ScenarioSpec
 from repro.service.client import ServiceClient
 from repro.service.workers.config import DEFAULT_LEASE_TTL, worker_poll_from_env
@@ -143,7 +142,7 @@ class RemoteWorker:
             outcomes = run_parallel(
                 evaluator, tasks, jobs=self.jobs, cost_key=cost_key,
                 cache=True, progress=progress, cancel=token,
-                fault_plan=plan, trace_keys=TRACE_KEY_BUILDERS[spec.kind],
+                fault_plan=plan,
             )
         except JobCancelledError:
             result = ("cancelled", None)

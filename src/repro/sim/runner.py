@@ -86,16 +86,8 @@ def build_trace(benchmark_name: str, num_instructions: int, seed: int = 0) -> Tr
     Trace generation is deterministic and traces are treated as read-only by
     the simulator, so identical (benchmark, length, seed) requests — which
     recur across experiments, techniques and partitioning policies — share
-    one cached trace.  Sweep workers first consult the shared-memory trace
-    directory installed by batched submissions (byte-identical to generating:
-    the segments hold exactly the packed columns generation would produce),
-    so forked workers never regenerate traces the parent already built.
+    one cached trace.
     """
-    from repro.workloads.shm import lookup_shared_trace
-
-    shared = lookup_shared_trace((benchmark_name, num_instructions, seed))
-    if shared is not None:
-        return shared
     return generate_trace(get_benchmark(benchmark_name), num_instructions, seed=seed)
 
 

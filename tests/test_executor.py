@@ -79,6 +79,34 @@ class TestResolveJobs:
         assert resolve_jobs(-5) == 1
 
 
+def _log_then_double(marker_path, value):
+    with open(marker_path, "a") as handle:
+        handle.write("ran\n")
+    return 2 * value
+
+
+class TestRetiredVecBatchKnob:
+    @pytest.mark.parametrize("value, accepted", [
+        (None, True), ("", True), ("0", True), ("4", False), ("on", False),
+    ])
+    def test_only_off_is_accepted(self, tmp_path, monkeypatch, value, accepted):
+        from repro.cache.batch import resolve_vec_batch
+
+        if value is None:
+            monkeypatch.delenv("REPRO_VEC_BATCH", raising=False)
+        else:
+            monkeypatch.setenv("REPRO_VEC_BATCH", value)
+        marker = tmp_path / "runs.log"
+        tasks = [(str(marker), 1), (str(marker), 2)]
+        if accepted:
+            assert resolve_vec_batch() == 0
+            assert run_parallel(_log_then_double, tasks, jobs=1, cache=False) == [2, 4]
+        else:
+            with pytest.raises(ConfigurationError, match="REPRO_VEC_BATCH.*removed"):
+                run_parallel(_log_then_double, tasks, jobs=1, cache=False)
+            assert not marker.exists()
+
+
 class TestBatchCyclesKnob:
     def test_default_when_unset(self, monkeypatch):
         from repro.sim.system import DEFAULT_BATCH_CYCLES, resolved_batch_cycles

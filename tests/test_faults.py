@@ -439,80 +439,6 @@ def _crash_permanently(index, marker_path):
     return index // 0
 
 
-class TestSupervisedRunParallelBatched:
-    """The chaos suite with REPRO_VEC_BATCH on: batching changes the unit of
-    pool submission, never the retry/cancel/cleanup semantics."""
-
-    @pytest.fixture(autouse=True)
-    def _batched(self, monkeypatch):
-        monkeypatch.setenv("REPRO_VEC_BATCH", "2")
-        yield
-
-    def test_transient_faults_retry_inside_a_batch(self):
-        plan = FaultPlan(faults=(
-            FaultSpec(kind="transient_error", cell=0, attempts=2),
-            FaultSpec(kind="transient_error", cell=2, attempts=1),
-        ))
-        tasks = [(i,) for i in range(4)]
-        results = run_parallel(_double, tasks, jobs=2, cache=False,
-                               fault_plan=plan)
-        assert results == [2 * i for i in range(4)]
-        assert supervisor_stats().retries == 3
-
-    def test_worker_crash_rebuilds_the_pool_and_converges(self):
-        plan = FaultPlan(faults=(FaultSpec(kind="worker_crash", cell=1),))
-        tasks = [(i,) for i in range(5)]
-        results = run_parallel(_double, tasks, jobs=2, cache=False,
-                               fault_plan=plan)
-        assert results == [2 * i for i in range(5)]
-        assert supervisor_stats().pool_rebuilds >= 1
-        assert supervisor_stats().retries >= 1
-
-    def test_timeout_charges_the_hung_batch_and_recovers(self, monkeypatch):
-        monkeypatch.setenv("REPRO_CELL_TIMEOUT", "0.4")
-        plan = FaultPlan(faults=(
-            FaultSpec(kind="slow_cell", cell=0, delay_seconds=5.0),
-        ))
-        tasks = [(i,) for i in range(3)]
-        results = run_parallel(_double, tasks, jobs=2, cache=False,
-                               fault_plan=plan)
-        assert results == [0, 2, 4]
-        assert supervisor_stats().timeouts >= 1
-        assert supervisor_stats().pool_rebuilds >= 1
-
-    def test_permanent_failures_inside_a_batch_surface(self, tmp_path):
-        marker = tmp_path / "runs.log"
-        with pytest.raises(ZeroDivisionError):
-            run_parallel(_crash_permanently,
-                         [(i, str(marker)) for i in range(4)],
-                         jobs=2, cache=False)
-        assert supervisor_stats().permanent_failures >= 1
-
-    def test_cancellation_stops_at_a_cell_boundary(self, tmp_path):
-        global _BOUNDARY_TOKEN
-        from repro.experiments.supervisor import CancelToken
-
-        marker = tmp_path / "cancel.log"
-        token = CancelToken()
-        _BOUNDARY_TOKEN = token
-        try:
-            with pytest.raises(JobCancelledError):
-                run_parallel(_cancel_midway, [(i, str(marker)) for i in range(6)],
-                             jobs=1, cache=False, cancel=token)
-        finally:
-            _BOUNDARY_TOKEN = None
-        assert supervisor_stats().cancelled == 1
-
-    def test_batched_sweep_leaks_no_shared_memory(self):
-        from repro.workloads.shm import active_segment_names
-
-        plan = FaultPlan(faults=(FaultSpec(kind="worker_crash", cell=0),))
-        results = run_parallel(_double, [(i,) for i in range(4)], jobs=2,
-                               cache=False, fault_plan=plan)
-        assert results == [0, 2, 4, 6]
-        assert active_segment_names() == []
-
-
 # -------------------------------------------------------------------- journal
 
 

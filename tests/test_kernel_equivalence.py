@@ -302,217 +302,3 @@ class TestParallelSweepEquivalence:
 
 def _square(value):
     return value * value
-
-
-# --------------------------------------------------------------------------- batched replay
-
-
-from repro.cache.atd import AuxiliaryTagDirectory
-from repro.cache.batch import BatchedATDReplay, BatchedCacheReplay, numpy_available
-
-BATCH_KERNELS = ["python"] + (["numpy"] if numpy_available() else [])
-
-
-def _lane_streams(seed, lanes, n_range=(300, 900), address_bits=16):
-    """Ragged per-lane (addresses, stores) streams — every lane independent."""
-    rng = random.Random(seed)
-    addresses, stores = [], []
-    for _ in range(lanes):
-        n = rng.randrange(*n_range)
-        addresses.append([rng.randrange(0, 1 << address_bits) & ~63 for _ in range(n)])
-        stores.append([rng.random() < 0.3 for _ in range(n)])
-    return addresses, stores
-
-
-def _reference_lane_caches(config, addresses, stores, ways):
-    """Per-cell replay: one single-owner SetAssociativeCache per lane."""
-    caches = []
-    for lane, limit in enumerate(ways):
-        limited = limit < config.associativity
-        cache = SetAssociativeCache(config, partitioned=limited)
-        if limited:
-            cache.set_partition({0: limit})
-        for address, store in zip(addresses[lane], stores[lane]):
-            cache.access(address, core=0, is_store=store)
-        caches.append(cache)
-    return caches
-
-
-class TestBatchedCacheReplayEquivalence:
-    @pytest.mark.parametrize("kernel", BATCH_KERNELS)
-    @pytest.mark.parametrize("seed", [1, 17, 303])
-    def test_random_streams_match_per_cell_caches(self, kernel, seed):
-        config = _make_config(assoc=8, sets=16)
-        lanes = 6
-        addresses, stores = _lane_streams(seed, lanes)
-        ways = [8] * lanes
-        batched = BatchedCacheReplay(config, lanes, kernel=kernel)
-        batched.run(addresses, stores)
-        references = _reference_lane_caches(config, addresses, stores, ways)
-        for lane, cache in enumerate(references):
-            assert batched.hits[lane] == cache.hits
-            assert batched.misses[lane] == cache.misses
-            tags, last_use, dirty, sizes = batched.lane_state(lane)
-            assert tags == list(cache._tags)
-            assert last_use == list(cache._last_use)
-            assert dirty == list(cache._dirty)
-            assert sizes == list(cache._set_sizes)
-
-    @pytest.mark.parametrize("kernel", BATCH_KERNELS)
-    def test_way_limited_lanes_match_partitioned_caches(self, kernel):
-        config = _make_config(assoc=8, sets=16)
-        lanes = 5
-        ways = [1, 2, 4, 7, 8]
-        addresses, stores = _lane_streams(29, lanes)
-        batched = BatchedCacheReplay(config, lanes, ways=ways, kernel=kernel)
-        batched.run(addresses, stores)
-        references = _reference_lane_caches(config, addresses, stores, ways)
-        for lane, cache in enumerate(references):
-            assert batched.hits[lane] == cache.hits
-            assert batched.misses[lane] == cache.misses
-            assert batched.lane_state(lane)[0] == list(cache._tags)
-
-    @pytest.mark.parametrize("kernel", BATCH_KERNELS)
-    def test_non_power_of_two_sets(self, kernel):
-        config = _make_config(assoc=4, sets=12)
-        lanes = 4
-        addresses, stores = _lane_streams(53, lanes, address_bits=15)
-        batched = BatchedCacheReplay(config, lanes, kernel=kernel)
-        batched.run(addresses, stores)
-        references = _reference_lane_caches(config, addresses, stores, [4] * lanes)
-        for lane, cache in enumerate(references):
-            assert batched.hits[lane] == cache.hits
-            assert batched.misses[lane] == cache.misses
-            assert batched.lane_state(lane)[0] == list(cache._tags)
-
-    @pytest.mark.parametrize("kernel", BATCH_KERNELS)
-    def test_incremental_chunked_runs(self, kernel):
-        """Two chunked run() calls equal one combined call, state carried over."""
-        config = _make_config(assoc=8, sets=16)
-        lanes = 3
-        addresses, stores = _lane_streams(71, lanes)
-        whole = BatchedCacheReplay(config, lanes, kernel=kernel).run(addresses, stores)
-        chunked = BatchedCacheReplay(config, lanes, kernel=kernel)
-        half = [len(a) // 2 for a in addresses]
-        chunked.run([a[:h] for a, h in zip(addresses, half)],
-                    [s[:h] for s, h in zip(stores, half)])
-        chunked.run([a[h:] for a, h in zip(addresses, half)],
-                    [s[h:] for s, h in zip(stores, half)])
-        for lane in range(lanes):
-            assert chunked.hits[lane] == whole.hits[lane]
-            assert chunked.misses[lane] == whole.misses[lane]
-            assert chunked.lane_state(lane) == whole.lane_state(lane)
-
-    @pytest.mark.skipif(not numpy_available(), reason="needs numpy")
-    def test_numpy_and_python_kernels_identical(self):
-        config = _make_config(assoc=8, sets=16)
-        lanes = 4
-        addresses, stores = _lane_streams(99, lanes)
-        ways = [2, 8, 3, 8]
-        left = BatchedCacheReplay(config, lanes, ways=ways, kernel="numpy")
-        right = BatchedCacheReplay(config, lanes, ways=ways, kernel="python")
-        left.run(addresses, stores)
-        right.run(addresses, stores)
-        for lane in range(lanes):
-            assert left.hits[lane] == right.hits[lane]
-            assert left.misses[lane] == right.misses[lane]
-            assert left.lane_state(lane) == right.lane_state(lane)
-
-
-class TestBatchedATDReplayEquivalence:
-    @pytest.mark.parametrize("kernel", BATCH_KERNELS)
-    @pytest.mark.parametrize("seed", [2, 43])
-    def test_random_streams_match_per_cell_atds(self, kernel, seed):
-        config = _make_config(assoc=8, sets=64)
-        lanes = 5
-        addresses, _stores = _lane_streams(seed, lanes, address_bits=18)
-        batched = BatchedATDReplay(config, lanes, sampled_sets=16, kernel=kernel)
-        batched.run(addresses)
-        for lane in range(lanes):
-            atd = AuxiliaryTagDirectory(config, sampled_sets=16, core=lane)
-            for address in addresses[lane]:
-                atd.access(address)
-            assert batched.hit_position_histogram(lane) == list(atd.hit_position_histogram)
-            assert batched.sampled_misses(lane) == atd.sampled_misses
-            assert batched.sampled_accesses(lane) == atd.sampled_accesses
-            for slot in range(batched.sampled_sets):
-                assert batched.stack(lane, slot) == list(atd._stacks[slot])
-            assert batched.miss_curve(lane).misses == atd.miss_curve().misses
-
-    @pytest.mark.parametrize("kernel", BATCH_KERNELS)
-    def test_non_power_of_two_sets(self, kernel):
-        config = _make_config(assoc=4, sets=12)
-        lanes = 3
-        addresses, _stores = _lane_streams(7, lanes, address_bits=15)
-        batched = BatchedATDReplay(config, lanes, sampled_sets=4, kernel=kernel)
-        batched.run(addresses)
-        for lane in range(lanes):
-            atd = AuxiliaryTagDirectory(config, sampled_sets=4, core=lane)
-            for address in addresses[lane]:
-                atd.access(address)
-            assert batched.hit_position_histogram(lane) == list(atd.hit_position_histogram)
-            assert batched.sampled_misses(lane) == atd.sampled_misses
-
-    @pytest.mark.skipif(not numpy_available(), reason="needs numpy")
-    def test_numpy_and_python_kernels_identical(self):
-        config = _make_config(assoc=8, sets=64)
-        lanes = 4
-        addresses, _stores = _lane_streams(13, lanes, address_bits=18)
-        left = BatchedATDReplay(config, lanes, sampled_sets=16, kernel="numpy").run(addresses)
-        right = BatchedATDReplay(config, lanes, sampled_sets=16, kernel="python").run(addresses)
-        for lane in range(lanes):
-            assert left.hit_position_histogram(lane) == right.hit_position_histogram(lane)
-            assert left.sampled_misses(lane) == right.sampled_misses(lane)
-            for slot in range(left.sampled_sets):
-                assert left.stack(lane, slot) == right.stack(lane, slot)
-
-
-# --------------------------------------------------------------------------- batched submission
-
-
-class TestBatchedSubmissionEquivalence:
-    """REPRO_VEC_BATCH groups cells per pool submission; results must not move."""
-
-    @pytest.fixture()
-    def scenario_spec(self):
-        from repro.scenarios.spec import ScenarioSpec
-
-        return ScenarioSpec.from_dict({
-            "name": "batch-equivalence",
-            "kind": "accuracy",
-            "machine": {"core_counts": [2]},
-            "workloads": {"generator": "mixed", "groups": ["HL", "HM"],
-                          "per_group": 1, "seed": 7},
-            "instructions_per_core": 1000,
-            "interval_instructions": 500,
-        })
-
-    def test_batched_scenario_identical_to_unbatched(self, scenario_spec, monkeypatch):
-        from repro.experiments.common import shutdown_executor
-        from repro.scenarios.runner import run_scenario
-
-        monkeypatch.setenv("REPRO_CACHE", "0")
-        monkeypatch.setenv("REPRO_VEC_BATCH", "0")
-        try:
-            base = run_scenario(scenario_spec, jobs=2, cache=False)
-            monkeypatch.setenv("REPRO_VEC_BATCH", "3")
-            batched = run_scenario(scenario_spec, jobs=2, cache=False)
-        finally:
-            shutdown_executor()
-        assert base.cells == batched.cells
-
-    def test_batched_progress_still_per_cell(self, scenario_spec, monkeypatch):
-        from repro.experiments.common import shutdown_executor
-        from repro.scenarios.runner import run_scenario
-
-        monkeypatch.setenv("REPRO_CACHE", "0")
-        monkeypatch.setenv("REPRO_VEC_BATCH", "4")
-        events = []
-        try:
-            run_scenario(scenario_spec, jobs=2, cache=False,
-                         progress=lambda done, total: events.append((done, total)))
-        finally:
-            shutdown_executor()
-        # One leading (0, total) plus one event per cell — never per batch
-        # (the whole sweep fits in a single batch of 4 here).
-        assert events == [(0, 2), (1, 2), (2, 2)]
