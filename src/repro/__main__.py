@@ -99,7 +99,7 @@ def _is_spec_path(scenario: str) -> bool:
 
 def _cmd_run(scenario: str, scale: str | None, jobs: int | None,
              json_path: str | None) -> int:
-    from repro.experiments.common import shutdown_executor
+    from repro.experiments.common import print_cache_stats, shutdown_executor
     from repro.scenarios import get_builtin, load_spec, run_scenario
 
     try:
@@ -121,7 +121,7 @@ def _cmd_run(scenario: str, scale: str | None, jobs: int | None,
         # The persistent pool would otherwise idle until interpreter exit.
         shutdown_executor()
     print(result.report())
-    _print_cache_stats()
+    print_cache_stats()
     if json_path:
         _write_json(json_path, payload)
     return 0
@@ -129,7 +129,7 @@ def _cmd_run(scenario: str, scale: str | None, jobs: int | None,
 
 def _cmd_run_composite(path: str, jobs: int | None, json_path: str | None) -> int:
     from repro.errors import CompositeExecutionError
-    from repro.experiments.common import shutdown_executor
+    from repro.experiments.common import print_cache_stats, shutdown_executor
     from repro.scenarios import load_composite, run_composite
 
     composite = load_composite(path)
@@ -157,7 +157,7 @@ def _cmd_run_composite(path: str, jobs: int | None, json_path: str | None) -> in
     finally:
         shutdown_executor()
     print(result.report())
-    _print_cache_stats()
+    print_cache_stats()
     if json_path:
         _write_json(json_path, result.to_dict())
     return 0
@@ -169,7 +169,7 @@ def _cmd_query(path: str, jobs: int | None, broker: str | None,
 
     query = load_query(path)
     if broker is None:
-        from repro.experiments.common import shutdown_executor
+        from repro.experiments.common import print_cache_stats, shutdown_executor
         from repro.scenarios import run_query
 
         def observer(event: dict) -> None:
@@ -189,7 +189,7 @@ def _cmd_query(path: str, jobs: int | None, broker: str | None,
             shutdown_executor()
         payload = result.to_dict()
         print(result.report())
-        _print_cache_stats()
+        print_cache_stats()
         if json_path:
             _write_json(json_path, payload)
         return 0
@@ -262,7 +262,6 @@ def _cmd_worker(broker: str, worker_id: str | None, jobs: int | None,
     # Unless the operator chose otherwise, a remote worker reads and writes
     # the *broker's* content-addressed caches, so no cell in the fleet is
     # ever computed twice.
-    os.environ.setdefault("REPRO_ARTIFACT_BACKEND", "http")
     os.environ.setdefault("REPRO_ARTIFACT_URL", broker)
 
     from repro.service.workers.remote import RemoteWorker
@@ -280,16 +279,6 @@ def _cmd_worker(broker: str, worker_id: str | None, jobs: int | None,
     print(f"worker '{worker.worker_id}' ran {worker.leases_run} lease(s), "
           f"{worker.cells_run} cell(s)")
     return 0
-
-
-def _print_cache_stats() -> None:
-    from repro.sim.result_cache import get_result_cache
-
-    cache = get_result_cache()
-    if cache.enabled:
-        stats = cache.stats
-        print(f"\nresult cache: {stats.hits} hits, {stats.misses} misses, "
-              f"{stats.stores} stored ({cache.directory})")
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -67,6 +67,7 @@ __all__ = [
     "EXPERIMENT_LLC_KILOBYTES",
     "default_experiment_config",
     "get_executor",
+    "print_cache_stats",
     "resolve_jobs",
     "run_parallel",
     "shutdown_executor",
@@ -177,6 +178,16 @@ def get_executor(workers: int):
                 atexit.register(shutdown_executor)
                 _SHUTDOWN_REGISTERED = True
         return _EXECUTOR
+
+
+def print_cache_stats() -> None:
+    """Print the process-wide cell cache's counters on one line."""
+    cache = get_result_cache()
+    if cache.enabled:
+        stats = cache.stats
+        print(f"result cache: {stats.hits} hits, {stats.misses} misses, "
+              f"{stats.stores} stored, {stats.errors} errors, "
+              f"{stats.quarantined} quarantined ({cache.directory})")
 
 
 def shutdown_executor() -> None:

@@ -15,7 +15,7 @@ import argparse
 import json
 import time
 
-from repro.experiments.common import shutdown_executor
+from repro.experiments.common import print_cache_stats, shutdown_executor
 from repro.experiments.figure3 import run_figure3
 from repro.experiments.figure4 import run_figure4
 from repro.experiments.figure5 import run_figure5
@@ -24,7 +24,6 @@ from repro.experiments.figure7 import Figure7Settings, run_figure7
 from repro.experiments.summary import run_headline_summary
 from repro.experiments.sweep import SweepSettings, run_accuracy_sweep
 from repro.scenarios.builtin import SCALES, resolve_scale
-from repro.sim.result_cache import get_result_cache
 
 __all__ = ["SCALES", "run_all", "main"]
 
@@ -77,11 +76,7 @@ def run_all(scale: str = "small", jobs: int | None = None) -> dict:
         print(result.report())
         print()
 
-    cache = get_result_cache()
-    if cache.enabled:
-        stats = cache.stats
-        print(f"result cache: {stats.hits} hits, {stats.misses} misses, "
-              f"{stats.stores} stored ({cache.directory})")
+    print_cache_stats()
 
     return {
         "scale": scale,

@@ -10,9 +10,9 @@ requests over HTTP (``python -m repro serve``):
   :class:`~repro.service.workers.local.LocalPool` (the single-node default)
   and the :class:`~repro.service.workers.remote.RemoteWorker` behind
   ``python -m repro worker``,
-* :mod:`repro.service.artifacts` — LRU-bounded store of whole-scenario
-  result payloads over a pluggable :mod:`repro.backends` backend (the
-  scenario-level cache above the cell-level one),
+* :mod:`repro.service.artifacts` — the LRU-bounded :mod:`repro.store` family
+  of whole-scenario result payloads (the scenario-level cache above the
+  cell-level one),
 * :mod:`repro.service.http` — the stdlib ``ThreadingHTTPServer`` API,
   including the lease and artifact routes remote workers speak,
 * :mod:`repro.service.client` — the urllib client used by tests and tools,

@@ -50,10 +50,10 @@ POST     /leases/{id}/result        post the lease's outcome: per-cell
                                     error, or a cancellation; 410 when lost
 GET/PUT  /artifacts/{ns}/{key}      the broker's content-addressed stores as
                                     raw bytes (``ns`` is ``cells`` or
-                                    ``scenarios``): the ``http`` artifact
-                                    backend of remote workers reads and
-                                    writes these so the fleet shares one
-                                    cache
+                                    ``scenarios``): remote workers with
+                                    ``REPRO_ARTIFACT_URL`` read and write
+                                    these so the fleet shares one cache;
+                                    writes obey the store's size bound
 GET      /healthz                   liveness probe
 GET      /stats                     queue depth, cache hit rates, utilisation,
                                     per-worker lease/cell counters, lease
@@ -83,7 +83,6 @@ import signal
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
-from repro.backends import ShardedDirectoryBackend
 from repro.errors import (
     ConfigurationError,
     JobConflictError,
@@ -96,6 +95,7 @@ from repro.scenarios.spec import ScenarioSpec
 from repro.service.artifacts import ArtifactStore
 from repro.service.jobs import JobManager, JobState
 from repro.service.journal import JobJournal, journal_path_from_env
+from repro.sim.result_cache import get_result_cache
 
 __all__ = [
     "DEFAULT_PORT",
@@ -300,7 +300,7 @@ class ScenarioRequestHandler(BaseHTTPRequestHandler):
     # ----------------------------------------------------------------- artifacts
 
     def _artifact_route(self, namespace: str, key: str):
-        """Validate an ``/artifacts`` path; returns its backend or None.
+        """Validate an ``/artifacts`` path; returns its store or None.
 
         Error responses are already sent when this returns None.  Keys must
         be lowercase hex digests — nothing that could name a path — and only
@@ -318,31 +318,26 @@ class ScenarioRequestHandler(BaseHTTPRequestHandler):
             self._send_error_json(400, "artifact keys are lowercase hex digests")
             return None
         if namespace == "scenarios":
-            backend = self.manager.artifacts.backend
+            store = self.manager.artifacts
         else:
-            from repro.sim.result_cache import get_result_cache
-
             cache = get_result_cache()
-            backend = (None if not cache.enabled or cache.backend is not None
-                       else ShardedDirectoryBackend(cache.directory,
-                                                    suffix=".pkl"))
-        if backend is None or not backend.listable:
+            store = cache if cache.enabled else None
+        if store is None or store.backend is not None:
             self._send_error_json(
                 503, f"artifact namespace '{namespace}' has no local store "
                      f"on this broker"
             )
             return None
-        return backend
+        return store
 
     def _get_artifact(self, namespace: str, key: str) -> None:
-        backend = self._artifact_route(namespace, key)
-        if backend is None:
+        store = self._artifact_route(namespace, key)
+        if store is None:
             return
-        data = backend.get(key)
+        data = store.get_bytes(key)
         if data is None:
             self._send_error_json(404, f"no artifact '{key}' in '{namespace}'")
             return
-        backend.touch(key)  # keep remote reads visible to LRU eviction
         self.send_response(200)
         self.send_header("Content-Type", "application/octet-stream")
         self.send_header("Content-Length", str(len(data)))
@@ -354,13 +349,13 @@ class ScenarioRequestHandler(BaseHTTPRequestHandler):
         if len(parts) != 3 or parts[0] != "artifacts":
             self._send_error_json(404, f"no such route: PUT {self.path}")
             return
-        backend = self._artifact_route(parts[1], parts[2])
-        if backend is None:
+        store = self._artifact_route(parts[1], parts[2])
+        if store is None:
             return
         data = self._read_body(limit=MAX_RESULT_BODY_BYTES)
         if data is None:
             return
-        if backend.put(parts[2], data):
+        if store.put_bytes(parts[2], data):
             self._send_json(200, {"stored": True})
         else:
             self._send_error_json(503, "artifact store rejected the write")

@@ -1276,7 +1276,7 @@ class JobManager:
                     # Local leases already persisted cell-by-cell inside
                     # run_parallel; remote outcomes are persisted here so the
                     # broker's cache answers future runs (and other workers
-                    # via the HTTP artifact backend).
+                    # through the /artifacts routes).
                     to_persist = [(plan.digests[index], value)
                                   for index, value in fresh.items()]
                 if plan.complete:

@@ -18,9 +18,9 @@ meaning the lease was lost and the work is now someone else's).  A worker
 that dies mid-lease simply stops heartbeating: the broker expires the lease
 and requeues its unanswered cells.
 
-Pointing ``REPRO_ARTIFACT_BACKEND=http`` / ``REPRO_ARTIFACT_URL`` at the
-broker (the CLI's default) makes the worker read and write the *broker's*
-cell cache, so no cell is ever computed twice across the fleet.
+Pointing ``REPRO_ARTIFACT_URL`` at the broker (the CLI's default) makes the
+worker read and write the *broker's* cell cache, so no cell is ever computed
+twice across the fleet.
 """
 
 from __future__ import annotations

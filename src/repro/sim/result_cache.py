@@ -13,30 +13,13 @@ by a canonical digest of
 * a *code epoch*: a digest over every source file of the ``repro`` package,
   so any code change invalidates all previously cached results.
 
-Digests address pickled result payloads under an on-disk store
-(``.repro_cache/`` by default), shared by all processes and runs on the
-machine.  A warm rerun of ``repro.experiments.run_all`` therefore skips every
-simulation and only replays the cheap figure assembly.
-
-Knobs
------
-``REPRO_CACHE``
-    Set to ``0``/``false``/``no``/``off`` to disable the cache entirely
-    (default: enabled).
-``REPRO_CACHE_DIR``
-    Store directory (default ``.repro_cache`` under the current working
-    directory).
-
-Robustness
-----------
-Entries are written atomically (temp file + ``os.replace``) so concurrent
-writers can never expose a torn entry.  Corrupted, truncated or
-version-mismatched entries are treated as misses and *quarantined*: moved
-aside into ``<cache dir>/quarantine/`` (best-effort) rather than silently
-deleted, so repeated corruption — a flaky disk, a torn writer, an injected
-fault — leaves evidence instead of a mystery of eternal recomputes.  The
-recompute then overwrites the original entry path.  Every cache instance
-keeps hit/miss/store/error/quarantine counters.
+Digests address pickled result payloads in a :class:`repro.store.Store`
+under ``REPRO_CACHE_DIR`` (default ``.repro_cache``), shared by all processes
+and runs on the machine, so a warm rerun of ``repro.experiments.run_all``
+skips every simulation.  ``REPRO_CACHE=0`` (or ``false``/``no``/``off``)
+disables the cache.  Corrupted, truncated or version-mismatched entries read
+as misses and are quarantined into ``<cache dir>/quarantine/``; the
+recompute then overwrites the entry.
 """
 
 from __future__ import annotations
@@ -44,12 +27,13 @@ from __future__ import annotations
 import hashlib
 import os
 import pickle
-import tempfile
-from dataclasses import dataclass, fields, is_dataclass
+from array import array
+from dataclasses import fields, is_dataclass
 from functools import lru_cache
 from pathlib import Path
 
 from repro.errors import CacheKeyError
+from repro.store import RemoteStore, Store, remote_store_from_env
 
 __all__ = [
     "CACHE_FORMAT_VERSION",
@@ -110,13 +94,8 @@ def _canonical(value):
             for field in fields(value)
         )
         return ("dataclass", f"{kind.__module__}.{kind.__qualname__}", payload)
-    try:
-        from array import array
-
-        if isinstance(value, array):
-            return ("array", value.typecode, value.tobytes())
-    except ImportError:  # pragma: no cover
-        pass
+    if isinstance(value, array):
+        return ("array", value.typecode, value.tobytes())
     if callable(value):
         module = getattr(value, "__module__", None)
         qualname = getattr(value, "__qualname__", None)
@@ -201,177 +180,43 @@ def content_digest(namespace: str, material, extra=()) -> str:
 # -------------------------------------------------------------------- storage
 
 
-@dataclass
-class CacheStats:
-    """Hit/miss statistics of one :class:`ResultCache` instance."""
+class ResultCache(Store):
+    """The ``cells`` family: pickled cell results, sharded, with no size bound.
 
-    hits: int = 0
-    misses: int = 0
-    stores: int = 0
-    errors: int = 0
-    quarantined: int = 0
-
-    def as_dict(self) -> dict[str, int]:
-        return {"hits": self.hits, "misses": self.misses,
-                "stores": self.stores, "errors": self.errors,
-                "quarantined": self.quarantined}
-
-
-class ResultCache:
-    """Content-addressed store of pickled cell results.
-
-    By default entries live on local disk under ``directory`` (sharded by
-    the first two digest characters) with the quarantine machinery described
-    in the module docstring.  An optional ``backend``
-    (:class:`repro.backends.ArtifactBackend`) reroutes the entry *bytes*
-    elsewhere — notably ``REPRO_ARTIFACT_BACKEND=http`` proxies them through
-    a scenario broker so a fleet of remote workers shares one cell cache.
-    Entry validation (format version, digest guard) always happens on this
-    side, so a corrupted or stale remote blob degrades to a recompute
-    exactly like a corrupted local file.
+    An entry pickles ``{"version", "digest", "result"}``; a foreign version
+    or a digest other than the entry's address (a renamed file) is treated
+    like a torn pickle, on this side, so bad remote blobs are caught too.
     """
 
     def __init__(self, directory: str | os.PathLike = DEFAULT_CACHE_DIR,
-                 enabled: bool = True, backend=None):
-        self.directory = Path(directory)
+                 enabled: bool = True, backend: RemoteStore | None = None):
+        super().__init__(directory, ".pkl", sharded=True, backend=backend)
         self.enabled = enabled
-        self.backend = backend
-        self.stats = CacheStats()
-
-    def entry_path(self, digest: str) -> Path:
-        # Two-character shard keeps directory listings manageable for sweeps
-        # with tens of thousands of cells.
-        return self.directory / digest[:2] / f"{digest}.pkl"
 
     def get(self, digest: str) -> tuple[bool, object]:
-        """Look up a digest; returns ``(hit, result)``.
-
-        Anything unexpected on disk — missing shard, truncated pickle, a
-        different format version, a digest collision guard failing — is a
-        miss: the caller recomputes and overwrites.
-        """
+        """Look up a digest; returns ``(hit, result)``."""
         if not self.enabled:
             return False, None
-        if self.backend is not None:
-            return self._get_via_backend(digest)
-        path = self.entry_path(digest)
-        try:
-            with open(path, "rb") as handle:
-                entry = pickle.load(handle)
-            if (
-                isinstance(entry, dict)
-                and entry.get("version") == CACHE_FORMAT_VERSION
-                and entry.get("digest") == digest
-            ):
-                self.stats.hits += 1
-                return True, entry["result"]
-            # Version or digest mismatch: stale layout, quarantine.
-            self.stats.errors += 1
-            self._quarantine(path)
-        except FileNotFoundError:
-            pass
-        except Exception:
-            # Corrupted or unreadable entry: fall back to recompute.
-            self.stats.errors += 1
-            self._quarantine(path)
-        self.stats.misses += 1
-        return False, None
-
-    def _get_via_backend(self, digest: str) -> tuple[bool, object]:
-        """Backend-routed lookup: same validation, no local quarantine."""
-        data = self.backend.get(digest)
-        if data is not None:
-            try:
-                entry = pickle.loads(data)
-            except Exception:
-                entry = None
-            if (
-                isinstance(entry, dict)
-                and entry.get("version") == CACHE_FORMAT_VERSION
-                and entry.get("digest") == digest
-            ):
-                self.stats.hits += 1
-                return True, entry["result"]
-            # A remote blob cannot be quarantined locally; dropping it lets
-            # the recompute overwrite, which is all quarantine guarantees.
-            self.stats.errors += 1
-            self.backend.delete(digest)
-        self.stats.misses += 1
-        return False, None
+        return self._load(digest)
 
     def put(self, digest: str, result: object) -> bool:
         """Persist a result under its digest (atomic, best-effort)."""
         if not self.enabled:
             return False
-        if self.backend is not None:
-            entry = {"version": CACHE_FORMAT_VERSION, "digest": digest,
-                     "result": result}
-            try:
-                payload = pickle.dumps(entry, protocol=pickle.HIGHEST_PROTOCOL)
-            except Exception:
-                self.stats.errors += 1
-                return False
-            if not self.backend.put(digest, payload):
-                self.stats.errors += 1
-                return False
-            self.stats.stores += 1
-            return True
-        path = self.entry_path(digest)
+        return self._save(digest, result)
+
+    @staticmethod
+    def _encode(digest: str, result: object) -> bytes:
         entry = {"version": CACHE_FORMAT_VERSION, "digest": digest, "result": result}
-        try:
-            payload = pickle.dumps(entry, protocol=pickle.HIGHEST_PROTOCOL)
-            path.parent.mkdir(parents=True, exist_ok=True)
-            descriptor, temp_name = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
-            try:
-                with os.fdopen(descriptor, "wb") as handle:
-                    handle.write(payload)
-                os.replace(temp_name, path)
-            except BaseException:
-                try:
-                    os.unlink(temp_name)
-                except OSError:
-                    pass
-                raise
-        except Exception:
-            # A full disk or unpicklable payload must never fail the sweep.
-            self.stats.errors += 1
-            return False
-        self.stats.stores += 1
-        return True
+        return pickle.dumps(entry, protocol=pickle.HIGHEST_PROTOCOL)
 
-    def clear(self) -> int:
-        """Delete every entry; returns the number of entries removed."""
-        removed = 0
-        if not self.directory.is_dir():
-            return removed
-        for path in self.directory.glob("??/*.pkl"):
-            try:
-                path.unlink()
-                removed += 1
-            except OSError:
-                pass
-        return removed
-
-    def quarantine_dir(self) -> Path:
-        return self.directory / "quarantine"
-
-    def _quarantine(self, path: Path) -> None:
-        """Move a bad entry aside (best-effort; falls back to deletion).
-
-        The entry keeps its filename, so the quarantine holds at most one
-        specimen per digest — later corruption of the same digest overwrites
-        the old specimen rather than accumulating unboundedly.
-        """
-        try:
-            quarantine = self.quarantine_dir()
-            quarantine.mkdir(parents=True, exist_ok=True)
-            os.replace(path, quarantine / path.name)
-            self.stats.quarantined += 1
-        except OSError:
-            try:
-                path.unlink()
-            except OSError:
-                pass
+    @staticmethod
+    def _decode(digest: str, data: bytes) -> object:
+        entry = pickle.loads(data)
+        if not (isinstance(entry, dict) and entry.get("version") == CACHE_FORMAT_VERSION
+                and entry.get("digest") == digest):
+            raise ValueError("stale or misaddressed cache entry")
+        return entry["result"]
 
 
 # ------------------------------------------------------------- configuration
@@ -389,38 +234,18 @@ _instances: dict[tuple, ResultCache] = {}
 def get_result_cache() -> ResultCache:
     """The process-wide cache configured by ``REPRO_CACHE``/``REPRO_CACHE_DIR``.
 
-    Instances are memoised per resolved configuration so statistics
-    accumulate across sweeps; a disabled cache is a shared no-op instance.
-    The environment is re-read on every call, so tests (and long-lived
-    services) can flip the knobs without reloading the module.
-
-    ``REPRO_ARTIFACT_BACKEND=http`` (with ``REPRO_ARTIFACT_URL``) routes the
-    entry bytes through a scenario broker's ``cells`` artifact namespace —
-    the remote-worker configuration.  The local kinds (``directory``,
-    ``sharded``) keep the historical on-disk layout, which is already
-    sharded by digest prefix.
+    Memoised per resolved configuration, so statistics accumulate across
+    sweeps; the environment is re-read on every call.  ``REPRO_ARTIFACT_URL``
+    routes the entries through a scenario broker's ``cells`` namespace.
     """
-    from repro.backends import HTTPArtifactBackend, artifact_url_from_env, resolve_artifact_backend
-
     if not cache_enabled_from_env():
         return _DISABLED
     directory = Path(os.environ.get("REPRO_CACHE_DIR") or DEFAULT_CACHE_DIR).expanduser()
     resolved = directory if directory.is_absolute() else Path.cwd() / directory
-    backend_kind = resolve_artifact_backend()
-    url = artifact_url_from_env() if backend_kind == "http" else None
-    if backend_kind == "http" and url is None:
-        from repro.errors import ConfigurationError
-
-        raise ConfigurationError(
-            "REPRO_ARTIFACT_BACKEND=http requires REPRO_ARTIFACT_URL to "
-            "point at a scenario broker (e.g. 'http://127.0.0.1:8642')"
-        )
-    key = (resolved, backend_kind if url is not None else "local", url)
+    backend = remote_store_from_env("cells")
+    key = (resolved, backend.base_url if backend is not None else None)
     instance = _instances.get(key)
     if instance is None:
-        backend = (HTTPArtifactBackend(url, "cells") if url is not None
-                   else None)
-        instance = ResultCache(directory=resolved, enabled=True,
-                               backend=backend)
-        _instances[key] = instance
+        instance = _instances[key] = ResultCache(resolved, backend=backend)
     return instance
+

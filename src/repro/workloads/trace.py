@@ -13,7 +13,7 @@ pickled into every sweep worker process, cuts the per-task serialisation cost
 by a similar factor: pickling an ``array`` copies its raw buffer instead of
 walking one object per instruction.  The list-like API — ``len``, indexing,
 iteration, slicing and the :class:`TraceBuilder` append protocol — is
-unchanged; ``Trace.packed()`` exposes the frozen wire form explicitly.
+unchanged; a pickled trace travels as its name plus the three raw buffers.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from functools import lru_cache
 
 from repro.errors import TraceError
 
-__all__ = ["InstrKind", "PackedTrace", "Trace", "TraceBuilder"]
+__all__ = ["InstrKind", "Trace", "TraceBuilder"]
 
 # Column typecodes: kinds fit a signed byte, addresses and dependency indices
 # use signed 64-bit words (addresses are byte addresses, deps may be -1).
@@ -46,29 +46,6 @@ def _as_kind_array(values) -> array:
 
 def _as_word_array(values) -> array:
     return values if isinstance(values, array) and values.typecode == WORD_TYPECODE else array(WORD_TYPECODE, values)
-
-
-@dataclass(frozen=True)
-class PackedTrace:
-    """The frozen wire form of a :class:`Trace`: name plus three raw buffers.
-
-    The buffers are the native little/big-endian machine encoding of the
-    backing ``array`` columns (``tobytes``), so packing and unpacking are
-    plain memory copies.  This is the form traces travel in when pickled to
-    sweep worker processes.
-    """
-
-    name: str
-    kinds: bytes
-    addresses: bytes
-    deps: bytes
-
-    def unpack(self) -> "Trace":
-        return _trace_from_packed(self.name, self.kinds, self.addresses, self.deps)
-
-    @property
-    def num_instructions(self) -> int:
-        return len(self.kinds)
 
 
 def _trace_from_packed(name: str, kinds: bytes, addresses: bytes, deps: bytes) -> "Trace":
@@ -148,20 +125,6 @@ class Trace:
             hot = (self.kinds.tobytes(), self.addresses.tolist(), self.deps.tolist())
             self._hot = hot
         return hot
-
-    def packed(self) -> PackedTrace:
-        """Return the frozen wire form of this trace."""
-        return PackedTrace(
-            name=self.name,
-            kinds=self.kinds.tobytes(),
-            addresses=self.addresses.tobytes(),
-            deps=self.deps.tobytes(),
-        )
-
-    @staticmethod
-    def from_packed(packed: PackedTrace) -> "Trace":
-        """Rebuild a trace from :meth:`packed` output."""
-        return packed.unpack()
 
     @property
     def num_instructions(self) -> int:

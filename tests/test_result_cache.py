@@ -113,7 +113,8 @@ class TestResultCacheStore:
         assert cache.put(digest, 3.0)
         assert cache.get(digest) == (True, 3.0)
         assert cache.stats.as_dict() == {"hits": 1, "misses": 1, "stores": 1,
-                                         "errors": 0, "quarantined": 0}
+                                         "evictions": 0, "errors": 0,
+                                         "quarantined": 0}
 
     def test_corrupted_entry_is_a_miss_and_quarantined(self, tmp_path):
         cache = ResultCache(tmp_path)
@@ -188,7 +189,8 @@ class TestResultCacheStore:
         assert cache.get(digest) == (False, None)
         assert _cache_files(tmp_path) == []
         assert cache.stats.as_dict() == {"hits": 0, "misses": 0, "stores": 0,
-                                         "errors": 0, "quarantined": 0}
+                                         "evictions": 0, "errors": 0,
+                                         "quarantined": 0}
 
 
 class TestEnvironmentKnobs:

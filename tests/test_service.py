@@ -234,6 +234,25 @@ class TestJobManager:
         assert runner.calls == ["service-tiny"]  # engine ran exactly once
         assert jobs.scenario_hits == 1 and jobs.scenario_misses == 1
 
+    def test_torn_artifact_is_quarantined_and_recomputed(self, manager,
+                                                         tmp_path, monkeypatch):
+        monkeypatch.setenv("REPRO_CACHE", "1")
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cells"))
+        jobs = manager(sweep_jobs=1)
+        first = jobs.wait(jobs.submit(tiny_spec()).id, timeout=120)
+        assert first.state == JobState.DONE
+        path = jobs.artifacts.entry_path(first.digest)
+        path.write_text('{"tables": {')  # a torn write
+        assert jobs.artifacts.get(first.digest) is None
+        assert not path.exists()
+        specimen = jobs.artifacts.quarantine_dir() / path.name
+        assert specimen.read_text() == '{"tables": {'
+        assert jobs.artifacts.stats.quarantined == 1
+        second = jobs.wait(jobs.submit(tiny_spec()).id, timeout=120)
+        assert second.state == JobState.DONE and second.cached is False
+        assert second.result == first.result
+        assert json.loads(path.read_text()) == first.result
+
     def test_finished_jobs_are_pruned_beyond_the_bound(self, manager):
         runner = GatedRunner()
         jobs = manager(runner=runner, scenario_cache=False, max_finished_jobs=2)

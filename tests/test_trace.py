@@ -6,7 +6,7 @@ from array import array
 import pytest
 
 from repro.errors import TraceError
-from repro.workloads.trace import InstrKind, PackedTrace, Trace, TraceBuilder
+from repro.workloads.trace import InstrKind, Trace, TraceBuilder
 
 
 class TestTraceBuilder:
@@ -145,20 +145,6 @@ class TestPackedStorage:
         trace = Trace(kinds=[InstrKind.LOAD], addresses=[0x40], deps=[-1])
         assert isinstance(trace.kinds, array)
         assert trace.addresses[0] == 0x40
-
-    def test_packed_roundtrip(self):
-        trace = self._trace()
-        packed = trace.packed()
-        assert isinstance(packed, PackedTrace)
-        assert packed.num_instructions == len(trace.kinds.tobytes())
-        restored = Trace.from_packed(packed)
-        assert restored == trace
-        restored.validate()
-
-    def test_packed_form_is_frozen(self):
-        packed = self._trace().packed()
-        with pytest.raises(AttributeError):
-            packed.name = "other"
 
     def test_pickle_roundtrip_via_wire_form(self):
         trace = self._trace()
