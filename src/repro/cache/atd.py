@@ -40,7 +40,7 @@ class AuxiliaryTagDirectory:
         # arithmetic test ``index % stride == 0 and index // stride <
         # sampled_sets``; it is materialised once into a dense slot table so
         # the per-access hot path (here and inlined in
-        # repro.mem.hierarchy._shared_access) is a single branch-free list
+        # repro.mem.hierarchy.shared_load) is a single branch-free list
         # index instead of a hash lookup.
         stride = max(1, self.num_llc_sets // self.sampled_sets)
         self._stride = stride

@@ -20,25 +20,28 @@ The per-instruction work is done inside :meth:`OutOfOrderCore.step_until`,
 a batched loop that keeps all mutable state in local variables and only
 writes it back when the batch ends (at a co-simulation deadline, a periodic
 hook boundary, or completion).  :meth:`step` is a one-instruction batch.
+
+The loop reads each position's class from the trace's decoded
+:class:`~repro.workloads.trace.PrivateStream`: the private L1/L2 outcome of
+every load and store is fixed by the trace alone, so compute instructions and
+L1-hit loads never leave the loop, L2-hit loads only book an MSHR, and only
+SMS loads and L1-missing stores call into the :class:`MemoryHierarchy`.
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass
+from heapq import heappop as _heappop, heappush as _heappush
 
 from repro.cpu.events import CommitStall, IntervalStats, LoadRecord, StallCause, annotate_overlap
 from repro.errors import SimulationError
 from repro.mem.hierarchy import MemoryHierarchy
 from repro.config import CMPConfig
-from repro.workloads.trace import InstrKind, Trace
-
-from dataclasses import dataclass
+from repro.workloads.trace import Outcome, Trace
 
 __all__ = ["CoreProgress", "OutOfOrderCore"]
 
-# Every LONG_OP_PERIOD-th compute instruction is treated as a long-latency
-# operation (e.g. an FP divide).  The choice is a deterministic function of the
-# instruction index so shared- and private-mode runs stall on the same
-# instructions, as they would in reality.
-_LONG_OP_PERIOD = 24
+# Latency of the long-latency compute positions (Outcome.LONG_COMPUTE).
 _LONG_OP_LATENCY = 12
 
 _INFINITY = float("inf")
@@ -55,13 +58,27 @@ class CoreProgress:
 
 
 class OutOfOrderCore:
-    """One processor core executing a trace against a memory hierarchy."""
+    """One processor core executing a trace against a memory hierarchy.
+
+    The core's private L1 and L2 must be cold and driven by this core alone
+    (:class:`~repro.sim.system.CMPSystem` builds a fresh hierarchy per run):
+    their outcomes come from the trace's decoded private stream, not from the
+    caches.  After a run only the L1/L2 ``hits``/``misses`` counters are
+    maintained (credited when the core finishes), not their line contents.
+    """
 
     def __init__(self, core_id: int, trace: Trace, config: CMPConfig,
                  hierarchy: MemoryHierarchy, target_instructions: int | None = None,
                  interval_instructions: int | None = None, record_events: bool = True):
         if len(trace) == 0:
             raise SimulationError("cannot run an empty trace")
+        l1 = hierarchy.l1[core_id]
+        l2 = hierarchy.l2[core_id]
+        if l1._use_counter or l2._use_counter:
+            raise SimulationError(
+                f"core {core_id}'s private caches were already accessed; "
+                "the decoded private stream assumes cold caches"
+            )
         self.core_id = core_id
         # When False, per-event records (LoadRecord / CommitStall lists) are
         # not materialised: all timing, stall-cycle sums, hierarchy counters
@@ -74,6 +91,7 @@ class OutOfOrderCore:
         self.config = config
         self.hierarchy = hierarchy
         self.target_instructions = target_instructions or len(trace)
+        self._stream = trace.private_stream(l1.config, l2.config, self.target_instructions)
         self.interval_instructions = (
             interval_instructions or config.accounting.estimate_interval_instructions
         )
@@ -146,11 +164,11 @@ class OutOfOrderCore:
         if self.finished:
             return
         # ---- hoist instance state into locals (the entire point of batching)
-        trace = self.trace
         # Unboxed column views: indexing the packed arrays directly would
         # re-box one int per access in this per-instruction loop.
-        kinds, addresses, deps = trace.hot()
-        trace_length = len(kinds)
+        _kinds, addresses, deps = self.trace.hot()
+        trace_length = len(addresses)
+        classes = self._stream.classes
         dispatch_interval = self._dispatch_interval
         commit_interval = self._commit_interval
         rob_entries = self._rob_entries
@@ -166,8 +184,13 @@ class OutOfOrderCore:
         epoch_cycles = self.epoch_cycles
         core_id = self.core_id
         hierarchy = self.hierarchy
-        load_fast = hierarchy.load_fast
-        store_fast = hierarchy.store_fast
+        shared_load = hierarchy.shared_load
+        store_miss = hierarchy.store_miss
+        l1_latency = hierarchy._l1_latency
+        l2_latency = hierarchy._l2_latency
+        mshr = hierarchy.l1_mshrs[core_id]
+        outstanding = mshr._outstanding
+        mshr_entries = mshr.entries
         ring_size = self._dep_ring_size
         ring_position = self._dep_ring_position
         ring_completion = self._dep_ring_completion
@@ -179,9 +202,11 @@ class OutOfOrderCore:
         cause_pms = StallCause.PMS_LOAD
         cause_independent = StallCause.INDEPENDENT
         cause_other = StallCause.OTHER
-        kind_compute = InstrKind.COMPUTE
-        kind_store = InstrKind.STORE
-        kind_load = InstrKind.LOAD
+        outcome_compute = Outcome.COMPUTE
+        outcome_long_compute = Outcome.LONG_COMPUTE
+        outcome_l1_hit = Outcome.LOAD_L1_HIT
+        outcome_sms = Outcome.LOAD_SMS
+        outcome_store_hit = Outcome.STORE_L1_HIT
         # Epoch bucketing cache: consecutive commits usually land in the same
         # ASM epoch, so batch the per-epoch instruction count locally and
         # flush it into the interval dict when the epoch (or batch) ends.
@@ -189,11 +214,9 @@ class OutOfOrderCore:
         epoch_count = 0
         epoch_boundary = 0.0
         window_index = position % rob_entries
-        trace_offset = position % trace_length
         # Counters replacing per-instruction modulo arithmetic.  ``committed``
         # and ``position`` always advance in lockstep, so the loop tracks only
         # ``position`` and recovers the commit count from the fixed offset.
-        long_op_countdown = (-position) % _LONG_OP_PERIOD
         interval_countdown = interval_instructions - (committed % interval_instructions)
         position_offset = position - committed
         start_position = position
@@ -208,26 +231,26 @@ class OutOfOrderCore:
                 dispatch = oldest_commit
             if dispatch >= time_limit and position != start_position:
                 break
-            kind = kinds[trace_offset]
-            if kind == kind_compute:
-                if long_op_countdown == 0:
-                    ready = dispatch + long_latency
-                else:
-                    ready = dispatch + compute_latency
-            elif kind == kind_store:
-                # The store buffer hides store latency from commit; the access
-                # still updates cache state through the hierarchy.
-                store_fast(core_id, addresses[trace_offset], dispatch)
+            outcome = classes[position]
+            if outcome == outcome_compute:
+                ready = dispatch + compute_latency
+            elif outcome == outcome_long_compute:
+                ready = dispatch + long_latency
+            elif outcome >= outcome_store_hit:
+                # The store buffer hides store latency from commit; an L1 miss
+                # still fills the shared levels through the hierarchy.
+                if outcome != outcome_store_hit:
+                    store_miss(core_id, addresses[position % trace_length])
                 ready = dispatch + compute_latency
             else:  # load
-                address = addresses[trace_offset]
+                offset = position % trace_length
                 issue = dispatch
-                dep = deps[trace_offset]
+                dep = deps[offset]
                 if dep >= 0:
                     # Dependencies refer to positions in the (possibly
                     # repeated) trace; map them into the current repetition,
                     # falling back to the previous one around a restart.
-                    candidate = position - trace_offset + dep
+                    candidate = position - offset + dep
                     slot = candidate % ring_size
                     if ring_position[slot] == candidate:
                         dep_completion = ring_completion[slot]
@@ -241,32 +264,51 @@ class OutOfOrderCore:
                                 dep_completion = ring_completion[slot]
                                 if dep_completion > issue:
                                     issue = dep_completion
-                ready, info = load_fast(core_id, address, issue)
-                slot = position % ring_size
-                ring_position[slot] = position
-                ring_completion[slot] = ready
-                if info is None:
+                if outcome == outcome_l1_hit:
                     # L1 hits never enter the PRB and cannot cause visible
                     # SMS stalls.
+                    ready = issue + l1_latency
                     record = None
-                    sms_load = False
                 else:
-                    sms_load = info[0]
+                    # L1 miss: wait for a free MSHR (MSHRFile.acquire_time
+                    # and allocate, inlined), then L2 or the shared levels.
+                    address = addresses[offset]
+                    while outstanding and outstanding[0][0] <= issue:
+                        _heappop(outstanding)
+                    if len(outstanding) < mshr_entries:
+                        ready = issue
+                    else:
+                        earliest = outstanding[0][0]
+                        ready = earliest if earliest > issue else issue
+                    ready = ready + l1_latency + l2_latency
+                    if outcome == outcome_sms:
+                        ready, interference, llc_hit, interference_miss = shared_load(
+                            core_id, address, ready, issue
+                        )
+                    else:
+                        interference = 0.0
+                        llc_hit = False
+                        interference_miss = None
+                    if len(outstanding) >= mshr_entries:
+                        _heappop(outstanding)
+                    _heappush(outstanding, (ready, address))
                     record = None
                     if recording:
-                        is_sms, latency, interference, llc_hit, interference_miss = info
                         record = LoadRecord(
                             instr_index=position,
                             address=address,
                             issue_time=issue,
                             completion_time=ready,
-                            is_sms=is_sms,
-                            latency=latency,
+                            is_sms=outcome == outcome_sms,
+                            latency=ready - issue,
                             interference_cycles=interference,
                             llc_hit=llc_hit,
                             interference_miss=interference_miss,
                         )
                         interval_loads.append(record)
+                slot = position % ring_size
+                ring_position[slot] = position
+                ring_completion[slot] = ready
 
             # ---- commit (in-order, at the pipeline width)
             earliest = last_commit + commit_interval
@@ -277,17 +319,17 @@ class OutOfOrderCore:
                     # The portion of the gap beyond the pipelined commit rate
                     # is a stall; attribute it to the blocking instruction.
                     # (Stalls are rare relative to commits, so the cause is
-                    # derived here from the instruction kind instead of being
+                    # derived here from the position's class instead of being
                     # tracked on every instruction.)
-                    if kind == kind_compute:
+                    if outcome <= outcome_long_compute:
                         interval.stall_independent += gap
                         cause = cause_independent
                         stall_record = None
-                    elif kind == kind_store:
+                    elif outcome >= outcome_store_hit:
                         interval.stall_other += gap
                         cause = cause_other
                         stall_record = None
-                    elif sms_load:
+                    elif outcome == outcome_sms:
                         interval.stall_sms += gap
                         cause = cause_sms
                         stall_record = record
@@ -328,7 +370,7 @@ class OutOfOrderCore:
                 epoch_index = epoch
                 epoch_boundary = (epoch + 1) * epoch_cycles
                 epoch_count = 1
-            if kind == kind_load and sms_load:
+            if outcome == outcome_sms:
                 buckets = interval.epoch_sms_accesses
                 buckets[epoch] = buckets.get(epoch, 0) + 1
 
@@ -336,12 +378,6 @@ class OutOfOrderCore:
             window_index += 1
             if window_index == rob_entries:
                 window_index = 0
-            trace_offset += 1
-            if trace_offset == trace_length:
-                trace_offset = 0
-            long_op_countdown -= 1
-            if long_op_countdown < 0:
-                long_op_countdown = _LONG_OP_PERIOD - 1
             interval_countdown -= 1
 
             if interval_countdown == 0:
@@ -394,13 +430,12 @@ class OutOfOrderCore:
             stall_other=0.0,
         )
 
-    def _close_interval(self) -> None:
+    def _append_interval(self, instructions: int) -> IntervalStats:
+        """Snapshot the hierarchy counters into the open interval and append it."""
         interval = self._interval
         interval.end_time = self._last_commit
-        interval.instructions = self.interval_instructions
-        interval.commit_cycles = max(
-            0.0, interval.total_cycles - interval.stall_cycles
-        )
+        interval.instructions = instructions
+        interval.commit_cycles = max(0.0, interval.total_cycles - interval.stall_cycles)
         counters = self.hierarchy.counters[self.core_id]
         interval.sms_loads = counters.sms_loads
         interval.sms_latency_sum = counters.sms_latency_sum
@@ -415,30 +450,25 @@ class OutOfOrderCore:
         interval.sampled_llc_misses = counters.sampled_llc_misses
         annotate_overlap(interval.loads, interval.stalls)
         self.intervals.append(interval)
+        return interval
+
+    def _close_interval(self) -> None:
+        interval = self._append_interval(self.interval_instructions)
         self._interval = self._new_interval(index=interval.index + 1, start_time=self._last_commit)
 
     def _finish(self) -> None:
         # Close a trailing partial interval if it contains any instructions.
         remainder = self._committed % self.interval_instructions
         if remainder:
-            interval = self._interval
-            interval.end_time = self._last_commit
-            interval.instructions = remainder
-            interval.commit_cycles = max(0.0, interval.total_cycles - interval.stall_cycles)
-            counters = self.hierarchy.counters[self.core_id]
-            interval.sms_loads = counters.sms_loads
-            interval.sms_latency_sum = counters.sms_latency_sum
-            interval.pre_llc_latency_sum = counters.pre_llc_latency_sum
-            interval.post_llc_latency_sum = counters.post_llc_latency_sum
-            interval.interference_sum = counters.interference_sum
-            interval.interference_miss_penalty_sum = counters.interference_miss_penalty_sum
-            interval.dram_interference_sum = counters.dram_interference_sum
-            interval.llc_accesses = counters.llc_accesses
-            interval.llc_misses = counters.llc_misses
-            interval.interference_misses = counters.interference_misses
-            interval.sampled_llc_misses = counters.sampled_llc_misses
-            annotate_overlap(interval.loads, interval.stalls)
-            self.intervals.append(interval)
+            self._append_interval(remainder)
+        # The private caches were decoded, not simulated: credit their totals.
+        stream = self._stream
+        l1 = self.hierarchy.l1[self.core_id]
+        l2 = self.hierarchy.l2[self.core_id]
+        l1.hits += stream.l1_hits
+        l1.misses += stream.l1_misses
+        l2.hits += stream.l2_hits
+        l2.misses += stream.l2_misses
         self.finished = True
 
     # ------------------------------------------------------------------ aggregate statistics

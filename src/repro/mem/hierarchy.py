@@ -10,7 +10,6 @@ attribution the accounting techniques consume.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from heapq import heappop as _heappop, heappush as _heappush
 
 from repro.cache.atd import AuxiliaryTagDirectory
 from repro.cache.cache import SetAssociativeCache
@@ -34,7 +33,6 @@ class CoreMemoryCounters:
     """
 
     sms_loads: int = 0
-    pms_loads: int = 0
     sms_latency_sum: float = 0.0
     pre_llc_latency_sum: float = 0.0
     post_llc_latency_sum: float = 0.0
@@ -44,9 +42,7 @@ class CoreMemoryCounters:
     llc_accesses: int = 0
     llc_misses: int = 0
     interference_misses: int = 0
-    sampled_llc_accesses: int = 0
     sampled_llc_misses: int = 0
-    dram_row_hits: int = 0
 
     def average_sms_latency(self) -> float:
         return self.sms_latency_sum / self.sms_loads if self.sms_loads else 0.0
@@ -54,16 +50,8 @@ class CoreMemoryCounters:
     def average_interference(self) -> float:
         return self.interference_sum / self.sms_loads if self.sms_loads else 0.0
 
-    def average_pre_llc_latency(self) -> float:
-        return self.pre_llc_latency_sum / self.sms_loads if self.sms_loads else 0.0
-
-    def average_post_llc_latency(self) -> float:
-        llc_miss_loads = max(1, self.llc_misses)
-        return self.post_llc_latency_sum / llc_miss_loads if self.post_llc_latency_sum else 0.0
-
     def reset(self) -> None:
         self.sms_loads = 0
-        self.pms_loads = 0
         self.sms_latency_sum = 0.0
         self.pre_llc_latency_sum = 0.0
         self.post_llc_latency_sum = 0.0
@@ -73,9 +61,7 @@ class CoreMemoryCounters:
         self.llc_accesses = 0
         self.llc_misses = 0
         self.interference_misses = 0
-        self.sampled_llc_accesses = 0
         self.sampled_llc_misses = 0
-        self.dram_row_hits = 0
 
 
 class MemoryHierarchy:
@@ -118,7 +104,7 @@ class MemoryHierarchy:
         self._llc_banks = config.llc.banks
         # ATD set-sampling geometry is identical across cores (same LLC
         # config), so one ATD's precomputed set->slot table serves the
-        # inlined membership lookup in _shared_access.
+        # inlined membership lookup in shared_load.
         self._atd_slot_by_set = next(iter(self.atds.values()))._slot_by_set
         # With one active core the shadow (core-alone) schedules are provably
         # identical to the real schedules, so interference is exactly zero
@@ -135,35 +121,6 @@ class MemoryHierarchy:
             self.llc.associativity,
         )
         self._last_shared_access = (0.0, 0.0, False)
-        # Per-core hot-path state bundled into one tuple so load_fast pays a
-        # single dict lookup instead of five.  The private L1/L2 lookups are
-        # inlined at array level (they are never partitioned, so the plain
-        # LRU path below is their complete behaviour — pinned by
-        # tests/test_kernel_equivalence.py); each cache contributes its flat
-        # arrays and geometry.
-        def _kernel_state(cache: SetAssociativeCache):
-            return (
-                cache,
-                cache._tags,
-                cache._last_use,
-                cache._set_sizes,
-                cache._owners,
-                cache._core_occupancy,
-                cache._line_shift,
-                cache._set_mask,
-                cache._tag_shift,
-                cache.associativity,
-            )
-
-        self._fast_state = {
-            core: (
-                _kernel_state(self.l1[core]),
-                _kernel_state(self.l2[core]),
-                self.l1_mshrs[core],
-                self.counters[core],
-            )
-            for core in self.active_cores
-        }
 
     # ------------------------------------------------------------------ configuration
 
@@ -186,14 +143,21 @@ class MemoryHierarchy:
         stalls as one of the rare "other" stall sources).
 
         This is the descriptive API: it always materialises a
-        :class:`MemoryAccessResult`.  The simulation kernel uses the leaner
-        :meth:`load_fast`/:meth:`store_fast` entry points, which share the
-        same underlying logic.
+        :class:`MemoryAccessResult`.  The simulation kernel decodes the
+        private L1/L2 outcomes of a whole trace up front
+        (:meth:`Trace.private_stream <repro.workloads.trace.Trace.private_stream>`)
+        and calls only :meth:`shared_load` and :meth:`store_miss`, the same
+        methods this one uses past the private caches.
         """
         if core not in self.l1:
             raise ConfigurationError(f"core {core} is not active in this hierarchy")
-        if is_store:
-            l1_hit = self.store_fast(core, address, issue_time)
+        l1_hit = self.l1[core].access_hit(address, core, is_store)
+        if is_store and not l1_hit:
+            # A store miss still allocates in L2 and the LLC for footprint
+            # realism, but its latency is hidden by the store buffer.
+            self.l2[core].access_hit(address, core, True)
+            self.store_miss(core, address)
+        if is_store or l1_hit:
             return MemoryAccessResult(
                 address=address,
                 core=core,
@@ -204,31 +168,26 @@ class MemoryHierarchy:
                 l2_hit=False,
                 llc_hit=False,
             )
-        completion, info = self.load_fast(core, address, issue_time)
-        if info is None:
+        # L1 load miss: wait for a free MSHR, then look up L2.
+        mshr = self.l1_mshrs[core]
+        ready = mshr.acquire_time(issue_time) + self._l1_latency + self._l2_latency
+        if self.l2[core].access_hit(address, core):
+            mshr.allocate(ready, address)
             return MemoryAccessResult(
                 address=address,
                 core=core,
                 issue_time=issue_time,
-                completion_time=completion,
-                is_sms=False,
-                l1_hit=True,
-                l2_hit=False,
-                llc_hit=False,
-            )
-        is_sms, _latency, interference, llc_hit, interference_miss = info
-        if not is_sms:
-            return MemoryAccessResult(
-                address=address,
-                core=core,
-                issue_time=issue_time,
-                completion_time=completion,
+                completion_time=ready,
                 is_sms=False,
                 l1_hit=False,
                 l2_hit=True,
                 llc_hit=False,
             )
-        shared = self._last_shared_access
+        completion, interference, llc_hit, interference_miss = self.shared_load(
+            core, address, ready, issue_time
+        )
+        mshr.allocate(completion, address)
+        pre_llc_latency, post_llc_latency, row_hit = self._last_shared_access
         return MemoryAccessResult(
             address=address,
             core=core,
@@ -238,159 +197,29 @@ class MemoryHierarchy:
             l1_hit=False,
             l2_hit=False,
             llc_hit=llc_hit,
-            pre_llc_latency=shared[0],
-            post_llc_latency=shared[1],
+            pre_llc_latency=pre_llc_latency,
+            post_llc_latency=post_llc_latency,
             interference_cycles=interference,
             interference_miss=interference_miss,
-            row_hit=shared[2],
+            row_hit=row_hit,
         )
 
-    def store_fast(self, core: int, address: int, issue_time: float) -> bool:
-        """Hot-path store: update cache state, return the L1 hit flag.
+    def store_miss(self, core: int, address: int) -> None:
+        """Install an L1-missing store's line in the ATD and the LLC.
 
-        The store buffer hides store latency from commit, so callers on the
-        simulation hot path need no timing result at all.
+        The store buffer hides its latency, so no timing is modelled.
         """
-        if self.l1[core].access_hit(address, core, True):
-            return True
-        # A store miss still allocates in L2/LLC for footprint realism,
-        # but its latency is hidden by the store buffer.
-        self._fill_lower_levels(core, address, is_store=True)
-        return False
+        self.atds[core].access(address)
+        self.llc.access_hit(address, core, True)
 
-    def load_fast(self, core: int, address: int, issue_time: float):
-        """Hot-path load: returns ``(completion_time, info)``.
+    def shared_load(self, core: int, address: int, ready_for_ring: float,
+                    original_issue: float):
+        """An L2-missing load's trip through ring, ATD, LLC and DRAM.
 
-        ``info`` is None for an L1 hit; otherwise it is the tuple
-        ``(is_sms, latency, interference_cycles, llc_hit, interference_miss)``
-        the core model needs to build its :class:`LoadRecord`.
+        ``ready_for_ring`` is when the request leaves the private caches;
+        ``original_issue`` is when the core issued it.  Returns
+        ``(completion, interference_cycles, llc_hit, interference_miss)``.
         """
-        l1_state, l2_state, mshr, counters = self._fast_state[core]
-        l1_latency = self._l1_latency
-
-        # L1 lookup, inlined at array level (plain LRU, never partitioned).
-        (cache, tags, last_use, set_sizes, owners, occupancy_counts,
-         line_shift, set_mask, tag_shift, assoc) = l1_state
-        counter = cache._use_counter + 1
-        cache._use_counter = counter
-        if set_mask is not None:
-            index = (address >> line_shift) & set_mask
-            tag = address >> tag_shift
-        else:
-            index = cache.set_index(address)
-            tag = cache.tag(address)
-        base = index * assoc
-        size = set_sizes[index]
-        slot = -1
-        if assoc == 2:
-            if size != 0:
-                if tags[base] == tag:
-                    slot = base
-                elif size == 2 and tags[base + 1] == tag:
-                    slot = base + 1
-        else:
-            segment = tags[base:base + size]
-            if tag in segment:
-                slot = base + segment.index(tag)
-        if slot >= 0:
-            last_use[slot] = counter
-            cache.hits += 1
-            counters.pms_loads += 1
-            return issue_time + l1_latency, None
-        cache.misses += 1
-        if size < assoc:
-            slot = base + size
-            set_sizes[index] = size + 1
-        else:
-            if assoc == 2:
-                slot = base if last_use[base] <= last_use[base + 1] else base + 1
-            else:
-                ages = last_use[base:base + assoc]
-                slot = base + ages.index(min(ages))
-            occupancy_counts[owners[slot]] -= 1
-        try:
-            occupancy_counts[core] += 1
-        except IndexError:
-            occupancy_counts.extend([0] * (core + 1 - len(occupancy_counts)))
-            occupancy_counts[core] += 1
-        tags[slot] = tag
-        owners[slot] = core
-        last_use[slot] = counter
-        cache._dirty[slot] = False
-
-        # L1 load miss: allocate an MSHR (may stall the request if all in
-        # use).  The MSHR file's acquire/allocate pair is inlined here — this
-        # runs once per L1 miss and the method-call overhead is measurable.
-        outstanding = mshr._outstanding
-        while outstanding and outstanding[0][0] <= issue_time:
-            _heappop(outstanding)
-        if len(outstanding) < mshr.entries:
-            effective_issue = issue_time
-        else:
-            earliest = outstanding[0][0]
-            effective_issue = earliest if earliest > issue_time else issue_time
-
-        # L2 lookup, same inlined plain-LRU path.
-        (cache, tags, last_use, set_sizes, owners, occupancy_counts,
-         line_shift, set_mask, tag_shift, assoc) = l2_state
-        counter = cache._use_counter + 1
-        cache._use_counter = counter
-        if set_mask is not None:
-            index = (address >> line_shift) & set_mask
-            tag = address >> tag_shift
-        else:
-            index = cache.set_index(address)
-            tag = cache.tag(address)
-        base = index * assoc
-        size = set_sizes[index]
-        slot = -1
-        segment = tags[base:base + size]
-        if tag in segment:
-            slot = base + segment.index(tag)
-        if slot >= 0:
-            last_use[slot] = counter
-            cache.hits += 1
-            l2_hit = True
-        else:
-            cache.misses += 1
-            if size < assoc:
-                slot = base + size
-                set_sizes[index] = size + 1
-            else:
-                ages = last_use[base:base + assoc]
-                slot = base + ages.index(min(ages))
-                occupancy_counts[owners[slot]] -= 1
-            try:
-                occupancy_counts[core] += 1
-            except IndexError:
-                occupancy_counts.extend([0] * (core + 1 - len(occupancy_counts)))
-                occupancy_counts[core] += 1
-            tags[slot] = tag
-            owners[slot] = core
-            last_use[slot] = counter
-            cache._dirty[slot] = False
-            l2_hit = False
-
-        if l2_hit:
-            completion = effective_issue + l1_latency + self._l2_latency
-        else:
-            # The request leaves the private memory system: it is an SMS-load.
-            completion, interference, llc_hit, interference_miss = self._shared_access(
-                core, address, effective_issue + l1_latency + self._l2_latency, issue_time
-            )
-            if len(outstanding) >= mshr.entries:
-                _heappop(outstanding)
-            _heappush(outstanding, (completion, address))
-            return completion, (True, completion - issue_time, interference, llc_hit,
-                                interference_miss)
-        if len(outstanding) >= mshr.entries:
-            _heappop(outstanding)
-        _heappush(outstanding, (completion, address))
-        counters.pms_loads += 1
-        return completion, (False, completion - issue_time, 0.0, False, None)
-
-    def _shared_access(self, core: int, address: int, ready_for_ring: float,
-                       original_issue: float):
         counters = self.counters[core]
         ring = self.ring
         llc = self.llc
@@ -445,13 +274,12 @@ class MemoryHierarchy:
         slot = self._atd_slot_by_set[set_index]
         if slot >= 0:
             atd_hit = atd.access_sampled(atd._stacks[slot], tag)
-            counters.sampled_llc_accesses += 1
         else:
             atd_hit = None
 
-        # LLC lookup, inlined (same flat-array kernel as the private levels;
-        # partition-aware fills go through the shared SetAssociativeCache
-        # machinery).
+        # LLC lookup, inlined (the flat-array path of
+        # SetAssociativeCache.access_hit; partition-aware fills go through the
+        # shared SetAssociativeCache machinery).
         (llc_tags, llc_last_use, llc_sizes, llc_owners, llc_occupancy,
          llc_assoc) = self._llc_state
         counter = llc._use_counter + 1
@@ -500,8 +328,6 @@ class MemoryHierarchy:
             )
             post_llc_latency = data_ready - arrival
             counters.dram_interference_sum += dram_interference
-            if row_hit:
-                counters.dram_row_hits += 1
             if atd_hit is True:
                 # The private-mode LLC would have hit, so the entire DRAM
                 # round trip (queueing included) is interference caused by
@@ -553,12 +379,6 @@ class MemoryHierarchy:
             False if atd_hit is not None else None
         )
         return completion, interference, llc_hit, interference_miss
-
-    def _fill_lower_levels(self, core: int, address: int, is_store: bool) -> None:
-        """Install a line in L2 and the LLC without modelling its timing."""
-        self.l2[core].access_hit(address, core, is_store)
-        self.atds[core].access(address)
-        self.llc.access_hit(address, core, is_store)
 
     # ------------------------------------------------------------------ interval management
 

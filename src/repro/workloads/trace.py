@@ -14,6 +14,10 @@ by a similar factor: pickling an ``array`` copies its raw buffer instead of
 walking one object per instruction.  The list-like API — ``len``, indexing,
 iteration, slicing and the :class:`TraceBuilder` append protocol — is
 unchanged; a pickled trace travels as its name plus the three raw buffers.
+
+:meth:`Trace.private_stream` decodes a trace into one byte per executed
+instruction position: compute, long-latency compute, or the private-cache
+outcome of a load or store (see :func:`decode_private`).
 """
 
 from __future__ import annotations
@@ -21,10 +25,13 @@ from __future__ import annotations
 from array import array
 from dataclasses import dataclass, field
 from functools import lru_cache
+from typing import NamedTuple
 
+from repro.cache.cache import SetAssociativeCache
+from repro.config import CacheConfig
 from repro.errors import TraceError
 
-__all__ = ["InstrKind", "Trace", "TraceBuilder"]
+__all__ = ["InstrKind", "Outcome", "PrivateStream", "Trace", "TraceBuilder", "decode_private"]
 
 # Column typecodes: kinds fit a signed byte, addresses and dependency indices
 # use signed 64-bit words (addresses are byte addresses, deps may be -1).
@@ -38,6 +45,35 @@ class InstrKind:
     COMPUTE = 0
     LOAD = 1
     STORE = 2
+
+
+# Every LONG_OP_PERIOD-th instruction position, when it is a compute
+# instruction, is a long-latency operation (e.g. an FP divide).  The choice is
+# a deterministic function of the position so shared- and private-mode runs
+# stall on the same instructions, as they would in reality.
+LONG_OP_PERIOD = 24
+
+
+class Outcome:
+    """Per-position classes of a :class:`PrivateStream`."""
+
+    COMPUTE = 0
+    LONG_COMPUTE = 1
+    LOAD_L1_HIT = 2
+    LOAD_L2_HIT = 3
+    LOAD_SMS = 4          # misses L2: visits the shared memory system
+    STORE_L1_HIT = 5
+    STORE_L1_MISS = 6
+
+
+class PrivateStream(NamedTuple):
+    """A trace decoded against one L1/L2 geometry (see :func:`decode_private`)."""
+
+    classes: bytes
+    l1_hits: int
+    l1_misses: int
+    l2_hits: int
+    l2_misses: int
 
 
 def _as_kind_array(values) -> array:
@@ -62,7 +98,61 @@ def _trace_from_packed(name: str, kinds: bytes, addresses: bytes, deps: bytes) -
     trace.deps = dep_column
     trace.name = name
     trace._hot = None
+    trace._streams = {}
     return trace
+
+
+def decode_private(trace: "Trace", l1: CacheConfig, l2: CacheConfig,
+                   target_instructions: int) -> PrivateStream:
+    """Classify the first ``target_instructions`` positions of a run of ``trace``.
+
+    A core's L1 and L2 are unpartitioned LRU caches that only that core
+    touches, in program order, with no back-invalidation from the shared
+    levels.  Whether a load hits L1, hits L2 or leaves the private memory
+    system is therefore a function of the trace alone: it is the same in
+    shared, private, ASM-rotated and partitioned runs, at any timing.  The
+    decode replays the loads and stores through fresh caches (wrapping past
+    the end of the trace the way a core restarts it) and records one
+    :class:`Outcome` byte per position, plus the caches' hit/miss totals.
+    """
+    kinds, addresses, _deps = trace.hot()
+    length = len(kinds)
+    repeats, tail = divmod(target_instructions, length)
+    # Compute positions keep their kind byte (InstrKind.COMPUTE equals
+    # Outcome.COMPUTE); every load and store position is overwritten below.
+    classes = bytearray(kinds * repeats + kinds[:tail])
+    l1_cache = SetAssociativeCache(l1)
+    l2_cache = SetAssociativeCache(l2)
+    l1_access = l1_cache.access_hit
+    l2_access = l2_cache.access_hit
+    memory_ops = [
+        (offset, kind == InstrKind.STORE, addresses[offset])
+        for offset, kind in enumerate(kinds)
+        if kind != InstrKind.COMPUTE
+    ]
+    for start in range(0, target_instructions, length):
+        for offset, is_store, address in memory_ops:
+            position = start + offset
+            if position >= target_instructions:
+                break
+            if is_store:
+                # A store miss allocates in L2 too (for footprint realism).
+                if l1_access(address, 0, True):
+                    classes[position] = Outcome.STORE_L1_HIT
+                else:
+                    l2_access(address, 0, True)
+                    classes[position] = Outcome.STORE_L1_MISS
+            elif l1_access(address):
+                classes[position] = Outcome.LOAD_L1_HIT
+            elif l2_access(address):
+                classes[position] = Outcome.LOAD_L2_HIT
+            else:
+                classes[position] = Outcome.LOAD_SMS
+    for position in range(0, target_instructions, LONG_OP_PERIOD):
+        if classes[position] == Outcome.COMPUTE:
+            classes[position] = Outcome.LONG_COMPUTE
+    return PrivateStream(bytes(classes), l1_cache.hits, l1_cache.misses,
+                         l2_cache.hits, l2_cache.misses)
 
 
 @dataclass
@@ -97,6 +187,7 @@ class Trace:
         if not (len(self.kinds) == len(self.addresses) == len(self.deps)):
             raise TraceError("trace arrays must have identical lengths")
         self._hot: tuple[bytes, list[int], list[int]] | None = None
+        self._streams: dict[tuple, PrivateStream] = {}
 
     def __len__(self) -> int:
         return len(self.kinds)
@@ -125,6 +216,21 @@ class Trace:
             hot = (self.kinds.tobytes(), self.addresses.tolist(), self.deps.tolist())
             self._hot = hot
         return hot
+
+    def private_stream(self, l1: CacheConfig, l2: CacheConfig,
+                       target_instructions: int) -> PrivateStream:
+        """:func:`decode_private` of this trace, memoised per process like :meth:`hot`.
+
+        Every run of a sweep cell (shared, ASM-rotated, private and
+        partitioned) replays the same positions through the same private
+        caches, so they all share one decode.  Never pickled.
+        """
+        key = (l1, l2, target_instructions)
+        stream = self._streams.get(key)
+        if stream is None:
+            stream = decode_private(self, l1, l2, target_instructions)
+            self._streams[key] = stream
+        return stream
 
     @property
     def num_instructions(self) -> int:
